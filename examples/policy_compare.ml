@@ -2,12 +2,13 @@
 
      dune exec examples/policy_compare.exe -- [app] [n_instrs]
 
-   Runs LRU, Random, SRRIP, DRRIP, GHRP, Hawkeye/Harmony, the ideal
+   Runs every registered replacement policy at its defaults, the ideal
    replacement bound, and Ripple over the chosen application under all
    three prefetchers. *)
 
 module W = Ripple_workloads
 module Cache = Ripple_cache
+module Registry = Ripple_cache.Registry
 module Simulator = Ripple_cpu.Simulator
 module Pipeline = Ripple_core.Pipeline
 module Table = Ripple_util.Table
@@ -36,18 +37,16 @@ let () =
       let run policy = Simulator.run ~warmup ~program ~trace:eval ~policy ~prefetcher () in
       let lru = run Cache.Lru.make in
       let rows =
-        [
-          ("LRU (baseline)", lru);
-          ("Random", run (Cache.Random_policy.make ~seed:1));
-          ("SRRIP", run Cache.Srrip.make);
-          ("DRRIP", run (Cache.Drrip.make ()));
-          ("GHRP", run (Cache.Ghrp.make ()));
-          ("Hawkeye/Harmony", run (Cache.Hawkeye.make ()));
-          ("SHiP", run Cache.Ship.make);
-          ( "ideal replacement",
-            Simulator.oracle ~warmup ~mode:(Pipeline.belady_mode_of prefetch) ~program
-              ~trace:eval ~prefetcher () );
-        ]
+        List.map
+          (fun (e : Registry.entry) ->
+            if e.Registry.name = "lru" then ("LRU (baseline)", lru)
+            else (e.Registry.display, run (Registry.factory e.Registry.name)))
+          Registry.all
+        @ [
+            ( "ideal replacement",
+              Simulator.oracle ~warmup ~mode:(Pipeline.belady_mode_of prefetch) ~program
+                ~trace:eval ~prefetcher () );
+          ]
       in
       let outcome =
         Pipeline.run

@@ -14,17 +14,18 @@ let mix x =
   x lxor (x lsr 13)
 
 let make ?(fixed = true) () ~sets ~ways =
-  let history = ref 0 in
-  let tables = Array.init n_tables (fun _ -> Array.make table_entries counter_init) in
-  let signature = Array.make (sets * ways) 0 in
-  let dead = Array.make (sets * ways) false in
-  let stamp = Array.make (sets * ways) 0 in
-  let clock = ref 0 in
+  let st = Policy.State.create () in
+  let history = Policy.State.ref st 0 in
+  let tables = Array.init n_tables (fun _ -> Policy.State.array st table_entries counter_init) in
+  let signature = Policy.State.array st (sets * ways) 0 in
+  let dead = Policy.State.array st (sets * ways) false in
+  let stamp = Policy.State.array st (sets * ways) 0 in
+  let clock = Policy.State.ref st 0 in
   (* Ring buffer of recently evicted (line, signature) pairs used by the
      premature-eviction fix. *)
-  let victims_line = Array.make victim_buffer_size (-1) in
-  let victims_sig = Array.make victim_buffer_size 0 in
-  let victims_head = ref 0 in
+  let victims_line = Policy.State.array st victim_buffer_size (-1) in
+  let victims_sig = Policy.State.array st victim_buffer_size 0 in
+  let victims_head = Policy.State.ref st 0 in
   let current_signature line = mix (line lxor (!history lsl 5)) land 0xFFFF in
   let table_index t s = mix (s + (t * 0x51ED)) land (table_entries - 1) in
   let predict_dead s =
@@ -110,27 +111,7 @@ let make ?(fixed = true) () ~sets ~ways =
     on_eviction;
     on_invalidate = Policy.nop_way;
     demote = (fun ~set ~way -> dead.((set * ways) + way) <- true);
-    save =
-      (fun () ->
-        let history' = !history in
-        let tables' = Array.map Array.copy tables in
-        let signature' = Array.copy signature in
-        let dead' = Array.copy dead in
-        let stamp' = Array.copy stamp in
-        let clock' = !clock in
-        let victims_line' = Array.copy victims_line in
-        let victims_sig' = Array.copy victims_sig in
-        let victims_head' = !victims_head in
-        fun () ->
-          history := history';
-          Array.iteri (fun t src -> Array.blit src 0 tables.(t) 0 table_entries) tables';
-          Array.blit signature' 0 signature 0 (Array.length signature);
-          Array.blit dead' 0 dead 0 (Array.length dead);
-          Array.blit stamp' 0 stamp 0 (Array.length stamp);
-          clock := clock';
-          Array.blit victims_line' 0 victims_line 0 victim_buffer_size;
-          Array.blit victims_sig' 0 victims_sig 0 victim_buffer_size;
-          victims_head := victims_head');
+    save = Policy.State.save st;
     storage_bits;
     duel = None;
   }

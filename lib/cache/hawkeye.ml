@@ -10,7 +10,8 @@ let mix x =
   let x = x * 0xC2B2AE35 in
   x lxor (x lsr 13)
 
-(* Diagnostic: how often the predictor says "friendly". *)
+(* Diagnostic: how often the predictor says "friendly".  Module-level,
+   deliberately not part of a policy's checkpoint. *)
 let friendly_lookups = ref 0
 let total_lookups = ref 0
 
@@ -24,7 +25,7 @@ type sampler = {
   lines : int array; (* line per entry, -1 free *)
   pcs : int array;
   times : int array;
-  mutable clock : int; (* per-set access count, the OPTgen time quanta *)
+  clock : int ref; (* per-set access count, the OPTgen time quanta *)
   occupancy : int array; (* ring over the last [sampler_associativity] quanta *)
 }
 
@@ -34,27 +35,30 @@ let make ?(harmony = true) ?(ehc = false) ?(max_hits = 7) () ~sets ~ways =
   friendly_lookups := 0;
   total_lookups := 0;
   if max_hits < 1 then invalid_arg "Hawkeye.make: max_hits must be >= 1";
-  let predictor = Array.make predictor_entries friendly_threshold in
-  let rrpv = Array.make (sets * ways) rrpv_max in
-  let last_pc = Array.make (sets * ways) 0 in
+  let st = Policy.State.create () in
+  let predictor = Policy.State.array st predictor_entries friendly_threshold in
+  let rrpv = Policy.State.array st (sets * ways) rrpv_max in
+  let last_pc = Policy.State.array st (sets * ways) 0 in
   (* EHC refinement (Vakil-Ghahani et al. 2018): count hits per resident
      line, learn a per-PC expected hit count on eviction, and break
      highest-RRPV victim ties towards the line with the fewest expected
      remaining hits.  A set duel arbitrates plain vs. refined victim
      selection; with every tie equal it degenerates to plain Hawkeye. *)
-  let hits = Array.make (sets * ways) 0 in
-  let ehc_table = Array.make ehc_entries 0 in
+  let hits = Policy.State.array st (sets * ways) 0 in
+  let ehc_table = Policy.State.array st ehc_entries 0 in
   let ehc_duel = if ehc then Some (Dueling.make ~sets ()) else None in
+  Option.iter (fun d -> Policy.State.custom st (fun () -> Dueling.save d)) ehc_duel;
   let ehc_index pc = mix pc land (ehc_entries - 1) in
   let sample_every = 4 in
+  (* One sampler per set with [set mod sample_every = 1]. *)
   let samplers =
-    Array.init (sets / sample_every) (fun _ ->
+    Array.init ((sets + sample_every - 2) / sample_every) (fun _ ->
         {
-          lines = Array.make sampler_associativity (-1);
-          pcs = Array.make sampler_associativity 0;
-          times = Array.make sampler_associativity 0;
-          clock = 0;
-          occupancy = Array.make sampler_associativity 0;
+          lines = Policy.State.array st sampler_associativity (-1);
+          pcs = Policy.State.array st sampler_associativity 0;
+          times = Policy.State.array st sampler_associativity 0;
+          clock = Policy.State.ref st 0;
+          occupancy = Policy.State.array st sampler_associativity 0;
         })
   in
   let sampler_of set = if set mod sample_every = 1 then Some samplers.(set / sample_every) else None in
@@ -74,8 +78,8 @@ let make ?(harmony = true) ?(ehc = false) ?(max_hits = 7) () ~sets ~ways =
      have kept [line] across its last usage interval, and train the PC
      that opened the interval accordingly. *)
   let optgen_access sampler (acc : Access.packed) =
-    let now = sampler.clock in
-    sampler.clock <- now + 1;
+    let now = !(sampler.clock) in
+    sampler.clock := now + 1;
     sampler.occupancy.(now mod sampler_associativity) <- 0;
     let line = Access.packed_line acc in
     let found = ref (-1) in
@@ -230,44 +234,7 @@ let make ?(harmony = true) ?(ehc = false) ?(max_hits = 7) () ~sets ~ways =
     on_eviction;
     on_invalidate = Policy.nop_way;
     demote = (fun ~set ~way -> rrpv.((set * ways) + way) <- rrpv_max);
-    save =
-      (fun () ->
-        (* [friendly_lookups]/[total_lookups] are module-level
-           diagnostics, deliberately not part of the checkpoint. *)
-        let predictor' = Array.copy predictor in
-        let rrpv' = Array.copy rrpv in
-        let last_pc' = Array.copy last_pc in
-        let hits' = Array.copy hits in
-        let ehc_table' = Array.copy ehc_table in
-        let restore_duel = match ehc_duel with Some d -> Dueling.save d | None -> Policy.nop_save () in
-        let samplers' =
-          Array.map
-            (fun s ->
-              {
-                lines = Array.copy s.lines;
-                pcs = Array.copy s.pcs;
-                times = Array.copy s.times;
-                clock = s.clock;
-                occupancy = Array.copy s.occupancy;
-              })
-            samplers
-        in
-        fun () ->
-          Array.blit predictor' 0 predictor 0 predictor_entries;
-          Array.blit rrpv' 0 rrpv 0 (Array.length rrpv);
-          Array.blit last_pc' 0 last_pc 0 (Array.length last_pc);
-          Array.blit hits' 0 hits 0 (Array.length hits);
-          Array.blit ehc_table' 0 ehc_table 0 ehc_entries;
-          restore_duel ();
-          Array.iteri
-            (fun i s' ->
-              let s = samplers.(i) in
-              Array.blit s'.lines 0 s.lines 0 sampler_associativity;
-              Array.blit s'.pcs 0 s.pcs 0 sampler_associativity;
-              Array.blit s'.times 0 s.times 0 sampler_associativity;
-              s.clock <- s'.clock;
-              Array.blit s'.occupancy 0 s.occupancy 0 sampler_associativity)
-            samplers');
+    save = Policy.State.save st;
     storage_bits;
     duel = ehc_duel;
   }

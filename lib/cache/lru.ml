@@ -4,9 +4,10 @@ let make ~sets ~ways =
   (* Recency is a per-slot timestamp from a monotonically increasing
      counter; demotion uses a decreasing counter so demoted lines order
      below every genuine reference. *)
-  let stamp = Array.make (sets * ways) 0 in
-  let clock = ref 0 in
-  let demote_clock = ref (-1) in
+  let st = Policy.State.create () in
+  let stamp = Policy.State.array st (sets * ways) 0 in
+  let clock = Policy.State.ref st 0 in
+  let demote_clock = Policy.State.ref st (-1) in
   let touch ~set ~way =
     incr clock;
     stamp.((set * ways) + way) <- !clock
@@ -35,14 +36,7 @@ let make ~sets ~ways =
       (fun ~set ~way ->
         stamp.((set * ways) + way) <- !demote_clock;
         decr demote_clock);
-    save =
-      (fun () ->
-        let stamp' = Array.copy stamp in
-        let clock' = !clock and demote_clock' = !demote_clock in
-        fun () ->
-          Array.blit stamp' 0 stamp 0 (Array.length stamp);
-          clock := clock';
-          demote_clock := demote_clock');
+    save = Policy.State.save st;
     storage_bits = storage_bits ~sets ~ways;
     duel = None;
   }

@@ -22,3 +22,28 @@ let nop_way ~set:_ ~way:_ = ()
 let nop_evict ~set:_ ~way:_ ~line:_ = ()
 let nop_save () () = ()
 let nop_fill_decision ~set:_ _ = `Install
+
+module State = struct
+  type t = { mutable savers : (unit -> unit -> unit) list }
+
+  let create () = { savers = [] }
+  let custom t save = t.savers <- save :: t.savers
+
+  let array t n v =
+    let a = Array.make n v in
+    custom t (fun () ->
+        let a' = Array.copy a in
+        fun () -> Array.blit a' 0 a 0 n);
+    a
+
+  let ref t v =
+    let r = Stdlib.ref v in
+    custom t (fun () ->
+        let v = !r in
+        fun () -> r := v);
+    r
+
+  let save t () =
+    let restores = List.map (fun save -> save ()) t.savers in
+    fun () -> List.iter (fun restore -> restore ()) restores
+end

@@ -87,7 +87,7 @@ let all =
       description = "static re-reference interval prediction (Jaleel et al. 2010)";
       storage_note = "2 bits per line";
       params = [];
-      factory = no_params (fun ~seed:_ -> Srrip.make);
+      factory = no_params (fun ~seed:_ -> Rrip.srrip);
     };
     {
       name = "drrip";
@@ -106,7 +106,7 @@ let all =
         ];
       factory =
         (fun ~seed:_ ~params ->
-          Drrip.make
+          Rrip.drrip
             ~psel_bits:(Param.get_int params "psel_bits")
             ~throttle:(Param.get_int params "throttle")
             ~spacing:(Param.get_int params "spacing")
@@ -118,7 +118,7 @@ let all =
       description = "signature-based hit prediction (Wu et al. 2011)";
       storage_note = "SHCT counters + 2 bits per line";
       params = [];
-      factory = no_params (fun ~seed:_ -> Ship.make);
+      factory = no_params (fun ~seed:_ -> Rrip.ship);
     };
     {
       name = "hawkeye";
@@ -156,7 +156,7 @@ let all =
         ];
       factory =
         (fun ~seed:_ ~params ->
-          Trrip.make
+          Rrip.trrip
             ~table_bits:(Param.get_int params "table_bits")
             ~hot:(Param.get_int params "hot")
             ());
@@ -212,7 +212,7 @@ let all =
         ];
       factory =
         (fun ~seed:_ ~params ->
-          Ship_sb.make
+          Rrip.ship_sb
             ~bypass:(Param.get_bool params "bypass")
             ~throttle:(Param.get_int params "throttle")
             ~stream_window:(Param.get_int params "stream_window")

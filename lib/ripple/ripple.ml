@@ -37,11 +37,9 @@ module Cache_stats = Ripple_cache.Stats
 module Policy = Ripple_cache.Policy
 module Lru = Ripple_cache.Lru
 module Random_policy = Ripple_cache.Random_policy
-module Srrip = Ripple_cache.Srrip
-module Drrip = Ripple_cache.Drrip
+module Rrip = Ripple_cache.Rrip
 module Ghrp = Ripple_cache.Ghrp
 module Hawkeye = Ripple_cache.Hawkeye
-module Ship = Ripple_cache.Ship
 module Belady = Ripple_cache.Belady
 module Registry = Ripple_cache.Registry
 

@@ -8,8 +8,7 @@ module Stats = Ripple_cache.Stats
 module Policy = Ripple_cache.Policy
 module Lru = Ripple_cache.Lru
 module Random_policy = Ripple_cache.Random_policy
-module Srrip = Ripple_cache.Srrip
-module Drrip = Ripple_cache.Drrip
+module Rrip = Ripple_cache.Rrip
 module Ghrp = Ripple_cache.Ghrp
 module Hawkeye = Ripple_cache.Hawkeye
 
@@ -190,18 +189,18 @@ let test_random_demote_is_victim () =
 let test_srrip_promotes_on_reuse () =
   (* Line 0 is re-referenced, line 2 is a scan: the scan line is evicted
      first even though it is more recent. *)
-  let c = run_policy Srrip.make [ 0; 0; 2; 4 ] in
+  let c = run_policy Rrip.srrip [ 0; 0; 2; 4 ] in
   checkb "reused line kept" true (Cache.contains c 0);
   checkb "scan line evicted" false (Cache.contains c 2)
 
 let test_srrip_victim_progress () =
   (* All-new lines still find victims (aging terminates). *)
-  let c = run_policy Srrip.make [ 0; 2; 4; 6; 8; 10 ] in
+  let c = run_policy Rrip.srrip [ 0; 2; 4; 6; 8; 10 ] in
   checki "full set" 2 (Cache.occupancy c ~set:0)
 
 let test_drrip_behaves () =
   let c =
-    run_policy (Drrip.make ())
+    run_policy (Rrip.drrip ())
       (List.concat_map (fun i -> [ i * 2; i * 2 ]) (List.init 40 (fun i -> i)))
   in
   checki "full set" 2 (Cache.occupancy c ~set:0)
@@ -229,7 +228,7 @@ let test_hawkeye_mostly_friendly () =
 let test_policy_storage_accounting () =
   let sets = 64 and ways = 8 in
   checki "lru bits" 512 (Lru.make ~sets ~ways).Policy.storage_bits;
-  checki "srrip bits" 1024 (Srrip.make ~sets ~ways).Policy.storage_bits;
+  checki "srrip bits" 1024 (Rrip.srrip ~sets ~ways).Policy.storage_bits;
   checki "random bits" 0 (Random_policy.make ~seed:0 ~sets ~ways).Policy.storage_bits;
   (* GHRP ~4.1 KiB, Hawkeye ~5.2 KiB per Table I. *)
   let ghrp_bytes = (Ghrp.make () ~sets ~ways).Policy.storage_bits / 8 in

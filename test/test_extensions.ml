@@ -8,7 +8,7 @@ module Access = Ripple_cache.Access
 module Geometry = Ripple_cache.Geometry
 module Cache = Ripple_cache.Cache
 module Stats = Ripple_cache.Stats
-module Ship = Ripple_cache.Ship
+module Rrip = Ripple_cache.Rrip
 module Lru = Ripple_cache.Lru
 module Rdip = Ripple_prefetch.Rdip
 module Prefetcher = Ripple_prefetch.Prefetcher
@@ -27,7 +27,7 @@ let demand line = Access.demand ~line ~block:line
 (* ------------------------------- SHiP ------------------------------- *)
 
 let test_ship_basic_operation () =
-  let c = Cache.create ~geometry:tiny ~policy:Ship.make () in
+  let c = Cache.create ~geometry:tiny ~policy:Rrip.ship () in
   ignore (Cache.access c (demand 0));
   checkb "hit after fill" true (Cache.access c (demand 0) = Cache.Hit);
   ignore (Cache.access c (demand 2));
@@ -38,7 +38,7 @@ let test_ship_learns_streaming_signature () =
   (* Line 0 is hot; a stream of one-shot lines flows past it.  After the
      predictor learns the streaming signatures are never reused, the hot
      line stops being evicted. *)
-  let c = Cache.create ~geometry:tiny ~policy:Ship.make () in
+  let c = Cache.create ~geometry:tiny ~policy:Rrip.ship () in
   let misses_on_0 = ref 0 in
   for i = 1 to 600 do
     if Cache.access c (demand 0) = Cache.Miss then incr misses_on_0;
@@ -49,7 +49,7 @@ let test_ship_learns_streaming_signature () =
   checkb "hot line mostly resident" true (!misses_on_0 < 150)
 
 let test_ship_storage_positive () =
-  let p = Ship.make ~sets:64 ~ways:8 in
+  let p = Rrip.ship ~sets:64 ~ways:8 in
   checkb "accounts metadata" true (p.Ripple_cache.Policy.storage_bits > 0)
 
 (* ------------------------------- RDIP ------------------------------- *)

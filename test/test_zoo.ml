@@ -12,8 +12,7 @@ module Stats = Ripple_cache.Stats
 module Policy = Ripple_cache.Policy
 module Dueling = Ripple_cache.Dueling
 module Registry = Ripple_cache.Registry
-module Srrip = Ripple_cache.Srrip
-module Drrip = Ripple_cache.Drrip
+module Rrip = Ripple_cache.Rrip
 
 let check = Alcotest.check
 let checki = check Alcotest.int
@@ -131,10 +130,32 @@ let test_spec_params_resolution () =
 
 (* The historical inline DRRIP, reproduced verbatim (modulo the fields
    the policy record has since grown): private leader mapping, PSEL
-   counter and bimodal throttle.  The port onto [Dueling] must make
-   decisions indistinguishable from this reference on any trace. *)
+   counter, bimodal throttle and victim scan.  The port onto [Dueling]
+   must make decisions indistinguishable from this reference on any
+   trace. *)
+let reference_rrpv_bits = 2
+
+let reference_victim rrpv ~rrpv_max ~ways ~set =
+  let base = set * ways in
+  let rec find () =
+    let found = ref (-1) in
+    (let way = ref 0 in
+     while !found < 0 && !way < ways do
+       if rrpv.(base + !way) = rrpv_max then found := !way;
+       incr way
+     done);
+    if !found >= 0 then !found
+    else begin
+      for way = 0 to ways - 1 do
+        rrpv.(base + way) <- min rrpv_max (rrpv.(base + way) + 1)
+      done;
+      find ()
+    end
+  in
+  find ()
+
 let reference_drrip ~sets ~ways =
-  let rrpv_max = (1 lsl Srrip.rrpv_bits) - 1 in
+  let rrpv_max = (1 lsl reference_rrpv_bits) - 1 in
   let rrpv_long = rrpv_max - 1 in
   let psel_bits = 10 in
   let psel_max = (1 lsl psel_bits) - 1 in
@@ -174,7 +195,7 @@ let reference_drrip ~sets ~ways =
     on_fill;
     fill_decision = Policy.nop_fill_decision;
     may_bypass = false;
-    victim = (fun ~set -> Srrip.rrpv_victim rrpv ~ways ~set);
+    victim = (fun ~set -> reference_victim rrpv ~rrpv_max ~ways ~set);
     on_eviction = Policy.nop_evict;
     on_invalidate = (fun ~set ~way -> rrpv.((set * ways) + way) <- rrpv_max);
     demote = (fun ~set ~way -> rrpv.((set * ways) + way) <- rrpv_max);
@@ -186,11 +207,16 @@ let reference_drrip ~sets ~ways =
           Array.blit rrpv' 0 rrpv 0 (Array.length rrpv);
           psel := psel';
           brrip_counter := brrip_counter');
-    storage_bits = (sets * ways * Srrip.rrpv_bits) + psel_bits;
+    storage_bits = (sets * ways * reference_rrpv_bits) + psel_bits;
     duel = None;
   }
 
-let geometry_64x4 = Geometry.v ~size_bytes:(64 * 4 * 64) ~ways:4
+let geometry_sets sets = Geometry.v ~size_bytes:(sets * 4 * 64) ~ways:4
+let geometry_64x4 = geometry_sets 64
+
+(* The zoo properties run on a single-set cache, a 2-set cache (no
+   dueling B leader, one Hawkeye sampled set) and the 64-set default. *)
+let zoo_geometries = List.map geometry_sets [ 1; 2; 64 ]
 
 let random_trace seed n =
   let st = Random.State.make [| seed |] in
@@ -211,10 +237,10 @@ let drrip_byte_identity =
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let trace = random_trace seed 6_000 in
-      replay (Drrip.make ()) trace = replay reference_drrip trace)
+      replay (Rrip.drrip ()) trace = replay reference_drrip trace)
 
 let test_drrip_identity_storage () =
-  let p = Drrip.make () ~sets:64 ~ways:4 in
+  let p = Rrip.drrip () ~sets:64 ~ways:4 in
   let r = reference_drrip ~sets:64 ~ways:4 in
   checki "storage accounting unchanged by the port" r.Policy.storage_bits p.Policy.storage_bits
 
@@ -264,18 +290,27 @@ let range_checked ~ways (p : Policy.t) =
         v);
   }
 
+(* [prop ~geometry spec] for every zoo spec on every zoo geometry. *)
+let for_zoo prop =
+  List.for_all (fun geometry -> List.for_all (prop ~geometry) zoo_specs) zoo_geometries
+
 let zoo_victims_in_range =
   QCheck.Test.make ~count:5 ~name:"every zoo policy's victims stay in range"
     QCheck.(int_range 0 1000)
     (fun seed ->
       let trace = random_trace seed 4_000 in
-      List.iter
-        (fun spec ->
+      for_zoo (fun ~geometry spec ->
           let factory ~sets ~ways = range_checked ~ways (Registry.factory spec ~sets ~ways) in
-          let c = Cache.create ~geometry:geometry_64x4 ~policy:factory () in
-          Array.iter (fun acc -> ignore (Cache.access c acc)) trace)
-        zoo_specs;
-      true)
+          let c = Cache.create ~geometry ~policy:factory () in
+          Array.iter (fun acc -> ignore (Cache.access c acc)) trace;
+          true))
+
+(* Everything a rewind must restore that is visible from outside: the
+   statistics record and the duel's telemetry. *)
+let duel_telemetry c =
+  Option.map
+    (fun d -> (Dueling.psel d, Dueling.a_misses d, Dueling.b_misses d, Dueling.flips d))
+    (Cache.duel c)
 
 let zoo_save_restore_roundtrip =
   QCheck.Test.make ~count:5
@@ -284,35 +319,32 @@ let zoo_save_restore_roundtrip =
     (fun seed ->
       let warm = random_trace seed 3_000 in
       let probe = random_trace (seed + 1) 3_000 in
-      List.for_all
-        (fun spec ->
-          let c = Cache.create ~geometry:geometry_64x4 ~policy:(Registry.factory spec) () in
+      for_zoo (fun ~geometry spec ->
+          let c = Cache.create ~geometry ~policy:(Registry.factory spec) () in
           Array.iter (fun acc -> ignore (Cache.access c acc)) warm;
           let restore = Cache.save c in
           let run () =
-            Array.map (fun acc -> Cache.access c acc = Cache.Hit) probe
+            let hits = Array.map (fun acc -> Cache.access c acc = Cache.Hit) probe in
+            (hits, Stats.copy (Cache.stats c), duel_telemetry c)
           in
           let first = run () in
           restore ();
           let second = run () in
-          first = second)
-        zoo_specs)
+          first = second))
 
 let zoo_psel_never_overflows =
   QCheck.Test.make ~count:5 ~name:"duelling policies keep PSEL within its bit width"
     QCheck.(int_range 0 1000)
     (fun seed ->
       let trace = random_trace seed 4_000 in
-      List.for_all
-        (fun spec ->
-          let c = Cache.create ~geometry:geometry_64x4 ~policy:(Registry.factory spec) () in
+      for_zoo (fun ~geometry spec ->
+          let c = Cache.create ~geometry ~policy:(Registry.factory spec) () in
           Array.iter (fun acc -> ignore (Cache.access c acc)) trace;
           match Cache.duel c with
           | None -> true
           | Some d ->
             let max = (1 lsl Dueling.psel_bits d) - 1 in
-            Dueling.psel d >= 0 && Dueling.psel d <= max)
-        zoo_specs)
+            Dueling.psel d >= 0 && Dueling.psel d <= max))
 
 (* ------------------------ Bypass accounting ------------------------- *)
 
