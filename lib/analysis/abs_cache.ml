@@ -4,10 +4,8 @@ module Geometry = Ripple_cache.Geometry
 module Json = Ripple_util.Json
 
 (* ------------------------------------------------------------------ *)
-(* Small dense bit sets over [0, k), packed into int arrays.  The hot
-   loop copies whole states per transfer, so the representation is
-   chosen for cheap copy (Array.copy / memcpy) and word-parallel
-   join. *)
+(* Small dense bit sets over [0, k), packed into int arrays: cheap to
+   copy (Array.copy / memcpy) and joined a word at a time. *)
 
 let bpw = Sys.int_size
 
@@ -31,6 +29,11 @@ let bs_union_into dst src =
     dst.(w) <- dst.(w) lor src.(w)
   done
 
+let bs_subset a b =
+  let n = Array.length a in
+  let rec go w = w >= n || (a.(w) land lnot b.(w) = 0 && go (w + 1)) in
+  go 0
+
 let int_array_equal a b =
   let n = Array.length a in
   n = Array.length b
@@ -45,30 +48,36 @@ let popcount x =
 let bs_count s = Array.fold_left (fun acc w -> acc + popcount w) 0 s
 
 (* ------------------------------------------------------------------ *)
-(* The product abstract state, chunked by cache set: per member line
-   of each set, one bit for must-any and may residency and one byte
-   for the LRU age bound ([ways] encodes "no bound", i.e. possibly
-   absent).  Lines in different sets never interact, so a block's
-   transfer rewrites only the chunks of the sets its lines and hints
-   map to and shares every other chunk by pointer; joins and equality
-   checks short-circuit on pointer-equal chunks.  On data-center CFGs
-   — tens of thousands of blocks over tens of thousands of lines, a
-   handful of lines per block — this turns both from O(footprint) into
-   O(sets), and is the difference between gigabytes and megabytes of
-   stored per-node state. *)
+(* One cache set's abstract state: per member line of the set, one bit
+   for must-any and may residency and one byte for the LRU age bound
+   ([ways] encodes "no bound", i.e. possibly absent).  Lines in
+   different sets never interact, so [analyze] solves each set on its
+   own over this single chunk. *)
 
 type chunk = { any : int array; may : int array; age : Bytes.t }
 
 let copy_chunk c =
   { any = Array.copy c.any; may = Array.copy c.may; age = Bytes.copy c.age }
 
-let chunk_struct_equal a b =
-  int_array_equal a.any b.any && int_array_equal a.may b.may && Bytes.equal a.age b.age
+let chunk_equal a b =
+  a == b
+  || int_array_equal a.any b.any && int_array_equal a.may b.may && Bytes.equal a.age b.age
 
-let chunk_equal a b = a == b || chunk_struct_equal a b
+(* [chunk_leq a b] is [a ⊑ b]: [b]'s must bits among [a]'s, [a]'s may
+   bits among [b]'s, and no age of [a] above [b]'s. *)
+let chunk_leq a b =
+  bs_subset b.any a.any && bs_subset a.may b.may
+  &&
+  let n = Bytes.length a.age in
+  let rec go i = i >= n || (Bytes.get_uint8 a.age i <= Bytes.get_uint8 b.age i && go (i + 1)) in
+  go 0
 
+(* Inclusion is tested before anything is allocated: most joins along
+   the solver's edges add nothing, and handing back an argument keeps
+   the solver's equality checks pointer-fast. *)
 let chunk_join a b =
-  if a == b then a
+  if a == b || chunk_leq b a then a
+  else if chunk_leq a b then b
   else begin
     let any = Array.copy a.any in
     bs_inter_into any b.any;
@@ -79,36 +88,15 @@ let chunk_join a b =
       let y = Bytes.get_uint8 b.age i in
       if y > Bytes.get_uint8 age i then Bytes.set_uint8 age i y
     done;
-    let c = { any; may; age } in
-    (* Re-share with an argument whenever the result is not new:
-       pointer-equal chunks keep later joins and equality checks
-       constant-time. *)
-    if chunk_struct_equal c a then a else if chunk_struct_equal c b then b else c
+    { any; may; age }
   end
 
-module Dom = struct
-  type t = chunk array (* indexed by cache set *)
+module Solver = Fixpoint.Make (struct
+  type t = chunk
 
-  let equal a b =
-    a == b
-    ||
-    let n = Array.length a in
-    n = Array.length b
-    &&
-    let rec go s = s >= n || (chunk_equal a.(s) b.(s) && go (s + 1)) in
-    go 0
-
-  let join a b =
-    if a == b then a
-    else begin
-      let n = Array.length a in
-      let c = Array.init n (fun s -> chunk_join a.(s) b.(s)) in
-      let rec all_a s = s >= n || (c.(s) == a.(s) && all_a (s + 1)) in
-      if all_a 0 then a else c
-    end
-end
-
-module Solver = Fixpoint.Make (Dom)
+  let equal = chunk_equal
+  let join = chunk_join
+end)
 
 type site_fact = {
   index : int;
@@ -118,11 +106,26 @@ type site_fact = {
   always_miss : bool;
 }
 
-(* Memoized per-hint-line auxiliary passes (see [prove]):
+(* One cache set's slice of the closed graph (see [analyze]).  Nodes
+   are numbered locally; [node] maps them back to closed-graph ids, in
+   ascending order.  [leak.(i)]: some closed-graph path from node [i]
+   through blocks of other sets only stops at a block without
+   successors or loops forever, so it never reaches another node. *)
+type slice = {
+  node : int array;
+  succ : int list array;
+  pred : int list array;
+  leak : bool array;
+}
+
+type slice_stats = { nodes : int; edges : int; walked : int }
+
+(* Memoized per-hint-line auxiliary passes (see [prove]), indexed by
+   the line's slice:
    [r]  — may the line be re-referenced, before another invalidation of
-          it, starting at this block?  (backward reachability, used for
+          it, starting at this node?  (backward reachability, used for
           Proved_dead)
-   [fe] — on *every* closed path from this block, is the first same-set
+   [fe] — on *every* closed path from this node, is the first same-set
           event an access to the line itself?  (least fixpoint, used
           for Proved_harmful)
    [d]  — which distinct same-set lines are touched on every path
@@ -133,9 +136,7 @@ type pass = { r : bool array; fe : bool array; d : int array array; top : int ar
 type t = {
   geometry : Geometry.t;
   blocks : Basic_block.t array;
-  succs : int list array;  (* closed graph *)
-  preds : int list array;
-  reach : bool array;
+  reach : bool array;  (* closed-graph nodes: the blocks, then the resume hub *)
   k : int;  (* tracked (reachable-footprint) line count *)
   id_of_line : (Addr.line, int) Hashtbl.t;
   line_of_id : int array;
@@ -144,41 +145,14 @@ type t = {
   set_slot : int array;  (* id -> position within its set's members *)
   pers : bool array;  (* per cache set *)
   invalidated : (Addr.line, unit) Hashtbl.t;  (* lines hinted away somewhere reachable *)
-  post : int array;  (* node ids, postorder over [succs] (successors first) *)
+  line_ids : int array array;  (* per block: its lines' ids, in execution order *)
+  slices : slice array;  (* per cache set; empty when no tracked line maps there *)
   facts : site_fact array array;
   hint_res : (bool * bool) array array;  (* (must-any, may) residency at each hint *)
   stats : Fixpoint.stats;
+  slice_stats : slice_stats;
   passes : (Addr.line, pass) Hashtbl.t;
 }
-
-let closed_successors ~entry blocks =
-  let n = Array.length blocks in
-  let return_tos =
-    Array.fold_left
-      (fun acc (b : Basic_block.t) ->
-        match b.Basic_block.term with
-        | Basic_block.Call { return_to; _ } | Basic_block.Indirect_call { return_to; _ }
-          ->
-          return_to :: acc
-        | _ -> acc)
-      [] blocks
-  in
-  (* A [Return] may resume at any call's return site (the stack is not
-     tracked; overflow drops frames) or at the entry/dispatcher when
-     the stack is empty; [Halt] restarts at the entry. *)
-  let resume = List.sort_uniq compare (entry :: return_tos) in
-  Array.map
-    (fun (b : Basic_block.t) ->
-      let extra =
-        match b.Basic_block.term with
-        | Basic_block.Return -> resume
-        | Basic_block.Halt -> [ entry ]
-        | _ -> []
-      in
-      List.filter
-        (fun s -> s >= 0 && s < n)
-        (List.sort_uniq compare (Cfg.flow_successors b @ extra)))
-    blocks
 
 let analyze ~geometry ~entry blocks =
   let n = Array.length blocks in
@@ -190,10 +164,10 @@ let analyze ~geometry ~entry blocks =
      [n], no code, identity transfer): every [Return] feeds the hub and
      the hub feeds every resume site.  Joins are associative and
      idempotent, so every fixpoint over the factored graph equals the
-     one over the direct closure ({!closed_successors}), while the edge
-     count drops from |returns| x |sites| to |returns| + |sites| — the
-     difference between minutes and milliseconds on data-center-sized
-     CFGs, where both factors run into the hundreds. *)
+     one over the direct closure, while the edge count drops from
+     |returns| x |sites| to |returns| + |sites| — the difference between
+     minutes and milliseconds on data-center-sized CFGs, where both
+     factors run into the hundreds. *)
   let nn = n + 1 in
   let hub = n in
   let return_tos =
@@ -209,8 +183,7 @@ let analyze ~geometry ~entry blocks =
   let resume =
     List.filter (fun s -> s >= 0 && s < n) (List.sort_uniq compare (entry :: return_tos))
   in
-  let succs = Array.make nn [] in
-  succs.(hub) <- resume;
+  let succs = Array.make nn (Array.of_list resume) in
   Array.iteri
     (fun v (b : Basic_block.t) ->
       let extra =
@@ -220,59 +193,26 @@ let analyze ~geometry ~entry blocks =
         | _ -> []
       in
       succs.(v) <-
-        List.filter
-          (fun s -> s >= 0 && s < nn)
-          (List.sort_uniq compare (Cfg.flow_successors b @ extra)))
+        Array.of_list
+          (List.filter
+             (fun s -> s >= 0 && s < nn)
+             (List.sort_uniq compare (Cfg.flow_successors b @ extra))))
     blocks;
-  let preds = Array.make nn [] in
-  for v = nn - 1 downto 0 do
-    List.iter (fun s -> preds.(s) <- v :: preds.(s)) succs.(v)
-  done;
   let reach = Array.make nn false in
   if entry >= 0 && entry < n then begin
     let q = Queue.create () in
     reach.(entry) <- true;
     Queue.add entry q;
     while not (Queue.is_empty q) do
-      let v = Queue.pop q in
-      List.iter
+      Array.iter
         (fun s ->
           if not reach.(s) then begin
             reach.(s) <- true;
             Queue.add s q
           end)
-        succs.(v)
+        succs.(Queue.pop q)
     done
   end;
-  (* Postorder over [succs] (successors before predecessors), used by
-     the backward per-hint passes to sweep in dependency order. *)
-  let post = Array.make nn 0 in
-  let postn = ref 0 in
-  let pushed = Array.make nn false in
-  (if entry >= 0 && entry < n then begin
-     let stack = Stack.create () in
-     pushed.(entry) <- true;
-     Stack.push (entry, succs.(entry)) stack;
-     while not (Stack.is_empty stack) do
-       let v, rest = Stack.pop stack in
-       match rest with
-       | [] ->
-         post.(!postn) <- v;
-         incr postn
-       | s :: tl ->
-         Stack.push (v, tl) stack;
-         if not pushed.(s) then begin
-           pushed.(s) <- true;
-           Stack.push (s, succs.(s)) stack
-         end
-     done
-   end);
-  for v = 0 to nn - 1 do
-    if not pushed.(v) then begin
-      post.(!postn) <- v;
-      incr postn
-    end
-  done;
   (* Tracked lines: the reachable footprint, ids in first-seen order. *)
   let id_of_line = Hashtbl.create 256 in
   let rev_lines = ref [] in
@@ -298,7 +238,8 @@ let analyze ~geometry ~entry blocks =
   done;
   let set_slot = Array.make (max 1 k) 0 in
   Array.iter (fun ms -> List.iteri (fun slot i -> set_slot.(i) <- slot) ms) set_members;
-  let pers = Array.map (fun ms -> List.length ms <= ways) set_members in
+  let set_size = Array.map List.length set_members in
+  let pers = Array.map (fun m -> m <= ways) set_size in
   let invalidated = Hashtbl.create 64 in
   Array.iteri
     (fun v (b : Basic_block.t) ->
@@ -309,34 +250,39 @@ let analyze ~geometry ~entry blocks =
             | Basic_block.Demote _ -> ())
           b.Basic_block.hints)
     blocks;
-  let block_line_ids =
+  let line_ids =
     Array.mapi
       (fun v b ->
         if reach.(v) then
-          Array.of_list
-            (List.map (fun l -> Hashtbl.find id_of_line l) (Basic_block.lines b))
+          Array.of_list (List.map (Hashtbl.find id_of_line) (Basic_block.lines b))
         else [||])
       blocks
   in
-  (* Transfer: the block's line accesses in execution order, then its
-     hints in order — matching the simulator's per-block sequence.
-     [base] holds the incoming chunk pointers: a chunk is copied on
-     first write only, so untouched sets stay shared. *)
-  let set_size = Array.map List.length set_members in
-  let own ~base st s = if st.(s) == base.(s) then st.(s) <- copy_chunk st.(s) in
-  let touch ~base st i =
-    let s = set_of_id.(i) in
-    own ~base st s;
-    let ch = st.(s) in
-    let sl = set_slot.(i) in
-    if not (bs_get ch.any sl) then
-      if pers.(s) then bs_set ch.any sl
-      else begin
-        (* A potential miss in a non-persistent set may evict anything
-           there, whichever policy picks the victim. *)
-        Array.fill ch.any 0 (Array.length ch.any) 0;
-        bs_set ch.any sl
-      end;
+  (* Per cache set, the reachable blocks whose lines or hints map to
+     it, ascending. *)
+  let by_set = Array.make nsets [] in
+  let last = Array.make nsets (-1) in
+  let note s v =
+    if last.(s) <> v then begin
+      last.(s) <- v;
+      by_set.(s) <- v :: by_set.(s)
+    end
+  in
+  for v = n - 1 downto 0 do
+    if reach.(v) then begin
+      Array.iter (fun i -> note set_of_id.(i) v) line_ids.(v);
+      Array.iter
+        (fun h -> note (Geometry.set_of_line geometry (Basic_block.hint_line h)) v)
+        blocks.(v).Basic_block.hints
+    end
+  done;
+  let touch ch s sl =
+    if not (bs_get ch.any sl) then begin
+      (* A potential miss in a non-persistent set may evict anything
+         there, whichever policy picks the victim. *)
+      if not pers.(s) then Array.fill ch.any 0 (Array.length ch.any) 0;
+      bs_set ch.any sl
+    end;
     let a = Bytes.get_uint8 ch.age sl in
     for j = 0 to set_size.(s) - 1 do
       if j <> sl then begin
@@ -347,138 +293,187 @@ let analyze ~geometry ~entry blocks =
     Bytes.set_uint8 ch.age sl 0;
     bs_set ch.may sl
   in
-  let apply_hint ~base st = function
-    | Basic_block.Invalidate l -> (
-      match Hashtbl.find_opt id_of_line l with
-      | None -> ()
-      | Some i ->
-        let s = set_of_id.(i) in
-        own ~base st s;
-        let ch = st.(s) in
-        let sl = set_slot.(i) in
-        bs_clear ch.any sl;
-        bs_clear ch.may sl;
-        Bytes.set_uint8 ch.age sl ways)
-    | Basic_block.Demote l -> (
-      match Hashtbl.find_opt id_of_line l with
-      | None -> ()
-      | Some i ->
-        let s = set_of_id.(i) in
-        own ~base st s;
-        let ch = st.(s) in
-        let sl = set_slot.(i) in
-        (* Residency is untouched (a demote never evicts; in a
-           persistent set the victim is never consulted), but under LRU
-           the line now sits at the eviction-first position. *)
-        if Bytes.get_uint8 ch.age sl < ways then Bytes.set_uint8 ch.age sl (ways - 1))
+  let apply_hint ch sl = function
+    | Basic_block.Invalidate _ ->
+      bs_clear ch.any sl;
+      bs_clear ch.may sl;
+      Bytes.set_uint8 ch.age sl ways
+    | Basic_block.Demote _ ->
+      (* Residency is untouched (a demote never evicts; in a persistent
+         set the victim is never consulted), but under LRU the line now
+         sits at the eviction-first position. *)
+      if Bytes.get_uint8 ch.age sl < ways then Bytes.set_uint8 ch.age sl (ways - 1)
   in
-  let transfer v st =
-    if
-      v = hub
-      || Array.length block_line_ids.(v) = 0
-         && Array.length blocks.(v).Basic_block.hints = 0
-    then st
-    else begin
-      let base = st in
-      let st = Array.copy st in
-      Array.iter (fun i -> touch ~base st i) block_line_ids.(v);
-      Array.iter (fun h -> apply_hint ~base st h) blocks.(v).Basic_block.hints;
-      st
+  (* Set [s]'s events in block [v] — its line accesses in execution
+     order, then its hints in order, matching the simulator's per-block
+     sequence — applied to [st], which is copied on first write.
+     [on_line] and [on_hint] see the chunk just before each event. *)
+  let replay s v st ~on_line ~on_hint =
+    let ch = ref st in
+    let own () = if !ch == st then ch := copy_chunk st in
+    Array.iteri
+      (fun index i ->
+        if set_of_id.(i) = s then begin
+          on_line index i !ch;
+          own ();
+          touch !ch s set_slot.(i)
+        end)
+      line_ids.(v);
+    Array.iteri
+      (fun j h ->
+        match Hashtbl.find_opt id_of_line (Basic_block.hint_line h) with
+        | Some i when set_of_id.(i) = s ->
+          on_hint j i !ch;
+          own ();
+          apply_hint !ch set_slot.(i) h
+        | _ -> ())
+      blocks.(v).Basic_block.hints;
+    !ch
+  in
+  let ignore_line _ _ _ = () and ignore_hint _ _ _ = () in
+  (* Each fact of a reachable block is written when its line's set is
+     solved below; a hint on a line outside the footprint keeps
+     (false, false). *)
+  let unset =
+    { index = 0; line = 0; must_hit = false; must_hit_lru = false; always_miss = false }
+  in
+  let facts =
+    Array.init n (fun v ->
+        if reach.(v) then Array.make (Array.length line_ids.(v)) unset else [||])
+  in
+  let hint_res =
+    Array.init n (fun v ->
+        if reach.(v) then
+          Array.make (Array.length blocks.(v).Basic_block.hints) (false, false)
+        else [||])
+  in
+  let empty_slice = { node = [||]; succ = [||]; pred = [||]; leak = [||] } in
+  let slices = Array.make nsets empty_slice in
+  (* Walk state shared by every slice: [local] maps a node of the
+     current slice to its local id (-1 elsewhere); the stamps hold the
+     current walk's number for nodes entered, finished and recorded as
+     edge targets; [path] and [next] are the depth-first search's stack
+     and each entry's next successor index. *)
+  let local = Array.make nn (-1) in
+  let entered = Array.make nn (-1) and finished = Array.make nn (-1) in
+  let target = Array.make nn (-1) in
+  let path = Array.make nn 0 and next = Array.make nn 0 in
+  let walks = ref 0 and walked = ref 0 in
+  (* The slice of set [s]: the entry, the resume hub and the blocks of
+     [by_set.(s)].  Node [i]'s successors are the nodes a walk from it
+     reaches through other nodes only.  It leaks when the walk enters
+     a block without successors or a loop among those other nodes; the
+     walk is a depth-first search, so such a loop shows as an edge back
+     to a node still on the path. *)
+  let slice_of s =
+    let hubs = if reach.(hub) then [ hub ] else [] in
+    let node = Array.of_list (List.sort_uniq compare ((entry :: by_set.(s)) @ hubs)) in
+    Array.iteri (fun i v -> local.(v) <- i) node;
+    let m = Array.length node in
+    let succ = Array.make m [] and leak = Array.make m false in
+    for i = 0 to m - 1 do
+      incr walks;
+      let w = !walks in
+      let out = ref [] in
+      let leaks = ref (Array.length succs.(node.(i)) = 0) in
+      let depth = ref 1 in
+      path.(0) <- node.(i);
+      next.(0) <- 0;
+      while !depth > 0 do
+        let top = !depth - 1 in
+        let x = path.(top) in
+        let j = next.(top) in
+        if j = Array.length succs.(x) then begin
+          finished.(x) <- w;
+          decr depth
+        end
+        else begin
+          next.(top) <- j + 1;
+          let y = succs.(x).(j) in
+          if local.(y) >= 0 then begin
+            if target.(y) <> w then begin
+              target.(y) <- w;
+              out := local.(y) :: !out
+            end
+          end
+          else if entered.(y) <> w then begin
+            entered.(y) <- w;
+            incr walked;
+            if Array.length succs.(y) = 0 then leaks := true;
+            path.(!depth) <- y;
+            next.(!depth) <- 0;
+            incr depth
+          end
+          else if finished.(y) <> w then leaks := true
+        end
+      done;
+      succ.(i) <- List.rev !out;
+      leak.(i) <- !leaks
+    done;
+    let pred = Array.make m [] in
+    for i = m - 1 downto 0 do
+      List.iter (fun j -> pred.(j) <- i :: pred.(j)) succ.(i)
+    done;
+    { node; succ; pred; leak }
+  in
+  let iterations = ref 0 and visits = ref 0 in
+  let nodes = ref 0 and edges = ref 0 in
+  for s = 0 to nsets - 1 do
+    if set_size.(s) > 0 then begin
+      let sl = slice_of s in
+      slices.(s) <- sl;
+      nodes := !nodes + Array.length sl.node;
+      Array.iter (fun ss -> edges := !edges + List.length ss) sl.succ;
+      let m = set_size.(s) in
+      let empty =
+        {
+          any = Array.make ((m + bpw - 1) / bpw) 0;
+          may = Array.make ((m + bpw - 1) / bpw) 0;
+          age = Bytes.make m (Char.chr ways);
+        }
+      in
+      let transfer i st =
+        let v = sl.node.(i) in
+        if v = hub then st else replay s v st ~on_line:ignore_line ~on_hint:ignore_hint
+      in
+      let res =
+        Solver.solve ~n:(Array.length sl.node)
+          ~entries:[ (local.(entry), empty) ]
+          ~preds:sl.pred ~transfer ()
+      in
+      iterations := !iterations + res.Solver.stats.Fixpoint.iterations;
+      visits := !visits + res.Solver.stats.Fixpoint.visits;
+      (* Read this set's facts and hint residency now: the solver's
+         per-node states die with this iteration. *)
+      Array.iteri
+        (fun i v ->
+          match res.Solver.in_.(i) with
+          | Some st when v <> hub ->
+            ignore
+              (replay s v st
+                 ~on_line:(fun index id ch ->
+                   let sl = set_slot.(id) in
+                   let resident_any = bs_get ch.any sl in
+                   facts.(v).(index) <-
+                     {
+                       index;
+                       line = line_of_id.(id);
+                       must_hit = resident_any;
+                       must_hit_lru = resident_any || Bytes.get_uint8 ch.age sl < ways;
+                       always_miss = not (bs_get ch.may sl);
+                     })
+                 ~on_hint:(fun j id ch ->
+                   let sl = set_slot.(id) in
+                   hint_res.(v).(j) <- (bs_get ch.any sl, bs_get ch.may sl))
+                : chunk)
+          | _ -> ())
+        sl.node;
+      Array.iter (fun v -> local.(v) <- -1) sl.node
     end
-  in
-  let empty_chunk m =
-    {
-      any = Array.make ((m + bpw - 1) / bpw) 0;
-      may = Array.make ((m + bpw - 1) / bpw) 0;
-      age = Bytes.make m (Char.chr ways);
-    }
-  in
-  let empty = Array.init nsets (fun s -> empty_chunk set_size.(s)) in
-  let empty_state () = Array.copy empty in
-  let entries = if entry >= 0 && entry < n then [ (entry, empty_state ()) ] else [] in
-  (* Ages converge by +1 creep around loops — up to [ways] global
-     waves through the closed graph, each costing a full propagation.
-     After a node's state has changed [widen_after] times, any age
-     still climbing jumps straight to "no bound".  That forfeits
-     must-hit-LRU precision only at deeply iterated join points and
-     never touches must/may residency; small CFGs never reach the
-     threshold and keep exact ages. *)
-  let widen old fresh =
-    if old == fresh then fresh
-    else
-      Array.mapi
-        (fun s f ->
-          let o = old.(s) in
-          if o == f then f
-          else begin
-            let age = ref None in
-            for i = 0 to Bytes.length f.age - 1 do
-              let fi = Bytes.get_uint8 f.age i in
-              if fi < ways && fi > Bytes.get_uint8 o.age i then begin
-                let a =
-                  match !age with
-                  | Some a -> a
-                  | None ->
-                    let a = Bytes.copy f.age in
-                    age := Some a;
-                    a
-                in
-                Bytes.set_uint8 a i ways
-              end
-            done;
-            match !age with None -> f | Some a -> { any = f.any; may = f.may; age = a }
-          end)
-        fresh
-  in
-  let res = Solver.solve ~widen ~widen_after:8 ~n:nn ~entries ~preds ~transfer () in
-  let facts = Array.make n [||] in
-  let hint_res = Array.make n [||] in
-  Array.iteri
-    (fun v (b : Basic_block.t) ->
-      match res.Solver.in_.(v) with
-      | None -> ()
-      | Some st0 ->
-        let base = st0 in
-        let st = Array.copy st0 in
-        let ids = block_line_ids.(v) in
-        let fs =
-          Array.make (Array.length ids)
-            { index = 0; line = 0; must_hit = false; must_hit_lru = false; always_miss = false }
-        in
-        for index = 0 to Array.length ids - 1 do
-          let i = ids.(index) in
-          let ch = st.(set_of_id.(i)) in
-          let sl = set_slot.(i) in
-          let resident_any = bs_get ch.any sl in
-          fs.(index) <-
-            {
-              index;
-              line = line_of_id.(i);
-              must_hit = resident_any;
-              must_hit_lru = resident_any || Bytes.get_uint8 ch.age sl < ways;
-              always_miss = not (bs_get ch.may sl);
-            };
-          touch ~base st i
-        done;
-        facts.(v) <- fs;
-        let hs = b.Basic_block.hints in
-        let hr = Array.make (Array.length hs) (false, false) in
-        for j = 0 to Array.length hs - 1 do
-          (match Hashtbl.find_opt id_of_line (Basic_block.hint_line hs.(j)) with
-          | None -> ()
-          | Some i ->
-            let ch = st.(set_of_id.(i)) in
-            let sl = set_slot.(i) in
-            hr.(j) <- (bs_get ch.any sl, bs_get ch.may sl));
-          apply_hint ~base st hs.(j)
-        done;
-        hint_res.(v) <- hr)
-    blocks;
+  done;
   {
     geometry;
     blocks;
-    succs;
-    preds;
     reach;
     k;
     id_of_line;
@@ -488,10 +483,12 @@ let analyze ~geometry ~entry blocks =
     set_slot;
     pers;
     invalidated;
-    post;
+    line_ids;
+    slices;
     facts;
     hint_res;
-    stats = res.Solver.stats;
+    stats = { Fixpoint.iterations = !iterations; visits = !visits };
+    slice_stats = { nodes = !nodes; edges = !edges; walked = !walked };
     passes = Hashtbl.create 16;
   }
 
@@ -509,6 +506,7 @@ let first_miss_only t line =
   | Some i -> t.pers.(t.set_of_id.(i)) && not (Hashtbl.mem t.invalidated line)
 
 let solver_stats t = t.stats
+let slice_stats t = t.slice_stats
 
 (* ------------------------------------------------------------------ *)
 (* Hint proofs. *)
@@ -533,44 +531,49 @@ let proved_safe = function
   | Proved_dead | Proved_persistent | Proved_pressure -> true
   | Proved_noop | Proved_harmful | Unproved -> false
 
+(* Line [l]'s three passes over its set's slice.  Every block of the
+   closed graph outside the slice touches neither [l]'s set nor [l]'s
+   hints, so it is transparent to all three: it neither references nor
+   invalidates [l] (for [r]), intersects its successors' conflicts
+   without adding any (for [d]), and is a non-event (for [fe]).  Only
+   [fe]'s least fixpoint sees a path that never reaches a slice node
+   again — such a path has no first event — which the slice records as
+   [leak]. *)
 let compute_pass t l =
-  (* Passes run over the hub-extended graph ([nn] nodes, see
-     {!analyze}): the hub has no lines and no hints, so it is
-     transparent to all three fixpoints and the results at real blocks
-     match the directly-closed graph. *)
   let nb = Array.length t.blocks in
-  let nn = Array.length t.succs in
-  let sl = Geometry.set_of_line t.geometry l in
-  let refs = Array.make nn false in
-  let invs = Array.make nn false in
-  for v = 0 to nb - 1 do
-    refs.(v) <- List.exists (fun x -> x = l) (Basic_block.lines t.blocks.(v));
-    invs.(v) <-
-      Array.exists
-        (function Basic_block.Invalidate x -> x = l | Basic_block.Demote _ -> false)
-        t.blocks.(v).Basic_block.hints
-  done;
+  let s = Geometry.set_of_line t.geometry l in
+  let sl = t.slices.(s) in
+  let m = Array.length sl.node in
+  let id = Option.value (Hashtbl.find_opt t.id_of_line l) ~default:(-1) in
+  let block i = if sl.node.(i) < nb then Some sl.node.(i) else None in
+  let refs =
+    Array.init m (fun i ->
+        match block i with Some v -> Array.mem id t.line_ids.(v) | None -> false)
+  in
+  let invs =
+    Array.init m (fun i ->
+        match block i with
+        | Some v ->
+          Array.exists
+            (function Basic_block.Invalidate x -> x = l | Basic_block.Demote _ -> false)
+            t.blocks.(v).Basic_block.hints
+        | None -> false)
+  in
   (* [r]: backward may-reachability of a reference to [l], gated per
-     block by "no invalidation of [l] is crossed first".  A block that
+     node by "no invalidation of [l] is crossed first".  A block that
      both references and invalidates counts as reaching (lines execute
      before hints). *)
-  let r = Array.make nn false in
+  let r = Array.copy refs in
   let q = Queue.create () in
-  for v = 0 to nn - 1 do
-    if t.reach.(v) && refs.(v) then begin
-      r.(v) <- true;
-      Queue.add v q
-    end
-  done;
+  Array.iteri (fun i x -> if x then Queue.add i q) refs;
   while not (Queue.is_empty q) do
-    let v = Queue.pop q in
     List.iter
       (fun p ->
-        if t.reach.(p) && (not r.(p)) && not invs.(p) then begin
+        if (not r.(p)) && not invs.(p) then begin
           r.(p) <- true;
           Queue.add p q
         end)
-      t.preds.(v)
+      sl.pred.(Queue.pop q)
   done;
   (* [fe]: least fixpoint of "the first same-set event on every path
      from here is an access to [l] itself".  Per block the event is
@@ -580,144 +583,92 @@ let compute_pass t l =
      non-event in both the hinted and the unhinted world.  A
      re-invalidation of [l] settles false: the miss would happen
      anyway. *)
-  (* The event is computed lazily and memoized: fe propagation only
-     ever looks at the neighbourhood of blocks referencing [l], a tiny
-     fraction of a data-center CFG. *)
-  let event_memo = Array.make nn (-2) in
-  let event v =
-    if event_memo.(v) <> -2 then event_memo.(v)
-    else begin
-      let ev =
-        if not t.reach.(v) then -1
-        else if v >= nb then 0
-        else begin
-          let ev = ref 0 in
-          (try
-             Array.iter
-               (fun (f : site_fact) ->
-                 if f.line = l then begin
-                   ev := 1;
-                   raise Exit
-                 end
-                 else if
-                   Geometry.set_of_line t.geometry f.line = sl && not f.must_hit
-                 then begin
-                   ev := -1;
-                   raise Exit
-                 end)
-               t.facts.(v)
-           with Exit -> ());
-          if !ev = 0 && invs.(v) then ev := -1;
-          !ev
-        end
-      in
-      event_memo.(v) <- ev;
-      ev
-    end
+  let event =
+    Array.init m (fun i ->
+        match block i with
+        | None -> 0
+        | Some v ->
+          let fs = t.facts.(v) in
+          let rec first j =
+            if j >= Array.length fs then if invs.(i) then -1 else 0
+            else if fs.(j).line = l then 1
+            else if t.set_of_id.(t.line_ids.(v).(j)) = s && not fs.(j).must_hit then -1
+            else first (j + 1)
+          in
+          first 0)
   in
-  let fe = Array.make nn false in
-  let q = Queue.create () in
-  for v = 0 to nb - 1 do
-    if t.reach.(v) && refs.(v) && event v = 1 then begin
-      fe.(v) <- true;
-      Queue.add v q
+  let fe = Array.make m false in
+  for i = 0 to m - 1 do
+    if event.(i) = 1 then begin
+      fe.(i) <- true;
+      Queue.add i q
     end
   done;
   while not (Queue.is_empty q) do
-    let v = Queue.pop q in
     List.iter
       (fun p ->
         if
-          t.reach.(p) && (not fe.(p)) && event p = 0
-          && t.succs.(p) <> []
-          && List.for_all (fun s -> fe.(s)) t.succs.(p)
+          (not fe.(p)) && event.(p) = 0 && (not sl.leak.(p))
+          && List.for_all (fun x -> fe.(x)) sl.succ.(p)
         then begin
           fe.(p) <- true;
           Queue.add p q
         end)
-      t.preds.(v)
+      sl.pred.(Queue.pop q)
   done;
   (* [d]: greatest fixpoint of the guaranteed-distinct-conflict set —
      same-set lines touched on *every* path before [l] is
      re-referenced.  Top (= every other line in the set) means "no path
      re-references [l] without them", which also covers paths that
      never re-reference [l] at all or re-invalidate it first. *)
-  let members = t.set_members.(sl) in
-  let m = List.length members in
-  let nw = max 1 ((m + bpw - 1) / bpw) in
+  let members = t.set_members.(s) in
+  let nw = max 1 ((List.length members + bpw - 1) / bpw) in
   let top = Array.make nw 0 in
-  List.iter
-    (fun i -> if t.line_of_id.(i) <> l then bs_set top t.set_slot.(i))
-    members;
-  (* Block scans are lazy and memoized, and the untouched-set scan
-     shares one zero vector: most blocks never touch [l]'s set, and in
-     a localized sweep most are never even evaluated. *)
-  let zero = Array.make nw 0 in
-  let scan_done = Array.make nn false in
-  let scan_closed = Array.make nn false in
-  let scan_acc = Array.make nn zero in
-  let scan v =
-    if not scan_done.(v) then begin
-      scan_done.(v) <- true;
-      if v < nb && t.reach.(v) then begin
-        let acc = ref zero in
-        (try
-           List.iter
-             (fun line ->
-               if line = l then begin
-                 scan_closed.(v) <- true;
-                 raise Exit
-               end
-               else if Geometry.set_of_line t.geometry line = sl then
-                 match Hashtbl.find_opt t.id_of_line line with
-                 | Some i ->
-                   if !acc == zero then acc := Array.make nw 0;
-                   bs_set !acc t.set_slot.(i)
-                 | None -> ())
-             (Basic_block.lines t.blocks.(v))
-         with Exit -> ());
-        scan_acc.(v) <- !acc
-      end
-    end
+  List.iter (fun i -> if i <> id then bs_set top t.set_slot.(i)) members;
+  (* [acc.(i)]: the same-set lines block [i] touches before [l], or in
+     all if it does not touch [l]. *)
+  let acc =
+    Array.init m (fun i ->
+        let a = Array.make nw 0 in
+        (match block i with
+        | None -> ()
+        | Some v ->
+          let ids = t.line_ids.(v) in
+          let rec scan j =
+            if j < Array.length ids && ids.(j) <> id then begin
+              if t.set_of_id.(ids.(j)) = s then bs_set a t.set_slot.(ids.(j));
+              scan (j + 1)
+            end
+          in
+          scan 0);
+        a)
   in
-  (* Entries only ever *replace* [d.(v)] with freshly allocated arrays,
-     so sharing [top] as the initial value is safe. *)
-  let d = Array.make nn top in
-  let scratch = Array.make nw 0 in
-  let eval_changed v =
-    scan v;
-    if scan_closed.(v) then Array.blit scan_acc.(v) 0 scratch 0 nw
-    else if invs.(v) then Array.blit top 0 scratch 0 nw
+  (* From an all-top start only the blocks referencing [l] can change,
+     so the worklist starts there. *)
+  let d = Array.make m top in
+  let queued = Array.copy refs in
+  Array.iteri (fun i x -> if x then Queue.add i q) refs;
+  let x = Array.make nw 0 in
+  while not (Queue.is_empty q) do
+    let i = Queue.pop q in
+    queued.(i) <- false;
+    if refs.(i) then Array.blit acc.(i) 0 x 0 nw
+    else if invs.(i) then Array.blit top 0 x 0 nw
     else begin
-      Array.blit top 0 scratch 0 nw;
-      List.iter (fun s -> bs_inter_into scratch d.(s)) t.succs.(v);
-      bs_union_into scratch scan_acc.(v)
+      Array.blit top 0 x 0 nw;
+      List.iter (fun j -> bs_inter_into x d.(j)) sl.succ.(i);
+      bs_union_into x acc.(i)
     end;
-    not (int_array_equal scratch d.(v))
-  in
-  (* Greatest fixpoint from top, swept in postorder (successors before
-     predecessors) so forward dependencies resolve within a sweep.
-     From an all-top start the only nodes whose transfer can differ
-     are the ones referencing [l] itself, so the sweep stays localized
-     to their backward slice. *)
-  let dirty = Array.make nn false in
-  for v = 0 to nb - 1 do
-    if t.reach.(v) && refs.(v) then dirty.(v) <- true
-  done;
-  let pending = ref true in
-  while !pending do
-    pending := false;
-    Array.iter
-      (fun v ->
-        if dirty.(v) then begin
-          dirty.(v) <- false;
-          if eval_changed v then begin
-            d.(v) <- Array.copy scratch;
-            List.iter (fun p -> if t.reach.(p) then dirty.(p) <- true) t.preds.(v)
-          end
-        end)
-      t.post;
-    pending := Array.exists Fun.id dirty
+    if not (int_array_equal x d.(i)) then begin
+      d.(i) <- Array.copy x;
+      List.iter
+        (fun p ->
+          if not queued.(p) then begin
+            queued.(p) <- true;
+            Queue.add p q
+          end)
+        sl.pred.(i)
+    end
   done;
   { r; fe; d; top }
 
@@ -728,6 +679,16 @@ let get_pass t l =
     let p = compute_pass t l in
     Hashtbl.add t.passes l p;
     p
+
+(* Local id of node [v] in [sl]; [v] must be one of its nodes. *)
+let local_id sl v =
+  let rec go lo hi =
+    if lo > hi then invalid_arg "Abs_cache: node outside its slice";
+    let mid = (lo + hi) / 2 in
+    let x = sl.node.(mid) in
+    if x = v then mid else if x < v then go (mid + 1) hi else go lo (mid - 1)
+  in
+  go 0 (Array.length sl.node - 1)
 
 let prove t ~block ~index =
   let n = Array.length t.blocks in
@@ -740,37 +701,38 @@ let prove t ~block ~index =
   let demote =
     match h with Basic_block.Demote _ -> true | Basic_block.Invalidate _ -> false
   in
+  let later_inv () =
+    let rec go j =
+      j < Array.length hints
+      && ((match hints.(j) with Basic_block.Invalidate x -> x = l | _ -> false) || go (j + 1))
+    in
+    go (index + 1)
+  in
   if not t.reach.(block) then Proved_noop
   else begin
     let resident_any, resident_may = t.hint_res.(block).(index) in
-    let later_inv = ref false in
-    for j = index + 1 to Array.length hints - 1 do
-      match hints.(j) with
-      | Basic_block.Invalidate x when x = l -> later_inv := true
-      | _ -> ()
-    done;
-    let later_inv = !later_inv in
-    let succs = t.succs.(block) in
-    let ways = t.geometry.Geometry.ways in
-    let p = get_pass t l in
     if not resident_may then Proved_noop
-    else if later_inv || List.for_all (fun s -> not p.r.(s)) succs then Proved_dead
-    else if
-      demote
-      &&
-      match Hashtbl.find_opt t.id_of_line l with
-      | Some i -> t.pers.(t.set_of_id.(i))
-      | None -> false
-    then Proved_persistent
+    else if later_inv () then Proved_dead
     else begin
-      let inter = Array.copy p.top in
-      List.iter (fun s -> bs_inter_into inter p.d.(s)) succs;
-      if bs_count inter >= ways then Proved_pressure
-      else if
-        (not demote) && resident_any && succs <> []
-        && List.for_all (fun s -> p.fe.(s)) succs
-      then Proved_harmful
-      else Unproved
+      (* A may-resident line is tracked, and its hint puts [block] in
+         its set's slice. *)
+      let set = Geometry.set_of_line t.geometry l in
+      let sl = t.slices.(set) in
+      let i = local_id sl block in
+      let p = get_pass t l in
+      let succ = sl.succ.(i) in
+      if List.for_all (fun s -> not p.r.(s)) succ then Proved_dead
+      else if demote && t.pers.(set) then Proved_persistent
+      else begin
+        let inter = Array.copy p.top in
+        List.iter (fun s -> bs_inter_into inter p.d.(s)) succ;
+        if bs_count inter >= t.geometry.Geometry.ways then Proved_pressure
+        else if
+          (not demote) && resident_any && (not sl.leak.(i))
+          && List.for_all (fun s -> p.fe.(s)) succ
+        then Proved_harmful
+        else Unproved
+      end
     end
   end
 
@@ -993,7 +955,6 @@ let summary_to_json s =
           [
             ("iterations", Json.Int s.solver.Fixpoint.iterations);
             ("visits", Json.Int s.solver.Fixpoint.visits);
-            ("widenings", Json.Int s.solver.Fixpoint.widenings);
           ] );
       ("bounds", bounds_to_json s.bounds);
       ("min_geometry", min_geometry_to_json s.min_geometry);

@@ -1,6 +1,6 @@
 (** Abstract interpretation of the I-cache (layer 4): must, may and
     persistence domains over the {e closed} control-flow graph, solved
-    with {!Fixpoint}.
+    one cache set at a time with {!Fixpoint}.
 
     {2 The closed graph}
 
@@ -39,6 +39,19 @@
     reorders the victim preference; in a persistent set the victim is
     never consulted) but drops the LRU age bound of [l] to [ways - 1].
 
+    {2 Set slices}
+
+    Lines in different cache sets never interact, so each set is
+    solved on its own {e slice} of the closed graph: the entry, the
+    resume hub and the reachable blocks whose lines or hints map to the
+    set, with an edge wherever a closed-graph path joins two of them
+    through blocks of other sets only.  Those blocks leave the set's
+    state alone, so the least fixpoint at every slice node equals the
+    whole graph's.  The per-hint passes run on the hinted line's slice
+    too; a slice node {e leaks} when such a path from it can stop at a
+    block without successors or loop forever among other sets' blocks,
+    which the first-event pass counts as a failed path.
+
     {2 Termination}
 
     Every domain is a finite join-semilattice — bit vectors under
@@ -55,10 +68,6 @@ module Basic_block := Ripple_isa.Basic_block
 module Geometry := Ripple_cache.Geometry
 
 type t
-
-val closed_successors : entry:int -> Basic_block.t array -> int list array
-(** The flow graph plus the return/halt closure edges described above;
-    deduplicated, out-of-range targets dropped. *)
 
 val analyze : geometry:Geometry.t -> entry:int -> Basic_block.t array -> t
 (** Run all three domains to their fixpoint.  Requires a structurally
@@ -92,7 +101,18 @@ val first_miss_only : t -> Addr.line -> bool
     an [Invalidate] hint on it: it misses at most once per run. *)
 
 val solver_stats : t -> Fixpoint.stats
-(** Aggregated over the product-domain solve. *)
+(** Summed over the per-set solves. *)
+
+type slice_stats = {
+  nodes : int;  (** slice nodes, summed over the cache sets *)
+  edges : int;  (** slice edges, summed over the cache sets *)
+  walked : int;
+      (** other-set blocks the edge walks crossed, summed over every
+          walk: the cost of building the slices *)
+}
+
+val slice_stats : t -> slice_stats
+(** The size and building cost of the slices {!analyze} solved over. *)
 
 (** {1 Hint proofs} *)
 

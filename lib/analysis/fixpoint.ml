@@ -5,12 +5,12 @@ module type DOMAIN = sig
   val join : t -> t -> t
 end
 
-type stats = { iterations : int; visits : int; widenings : int }
+type stats = { iterations : int; visits : int }
 
 module Make (D : DOMAIN) = struct
   type result = { in_ : D.t option array; out : D.t option array; stats : stats }
 
-  let solve ?widen ?(widen_after = max_int) ~n ~entries ~preds ~transfer () =
+  let solve ~n ~entries ~preds ~transfer () =
     let in_ = Array.make n None in
     let out = Array.make n None in
     (* Successor lists, inverted from [preds]: a change to out(v) must
@@ -21,8 +21,7 @@ module Make (D : DOMAIN) = struct
         List.iter (fun p -> if p >= 0 && p < n then succs.(p) <- v :: succs.(p)) ps)
       preds;
     Array.iteri (fun v l -> succs.(v) <- List.rev l) succs;
-    let refreshes = Array.make n 0 in
-    let iterations = ref 0 and visits = ref 0 and widenings = ref 0 in
+    let iterations = ref 0 and visits = ref 0 in
     (* Reverse postorder over [succs] from the entry nodes.  Processing
        a sweep in this order resolves every forward edge within the
        sweep, so a high-fan-in join point (e.g. the resume hub of a
@@ -72,24 +71,8 @@ module Make (D : DOMAIN) = struct
         let j = D.join old d in
         if D.equal old j then false
         else begin
-          refreshes.(v) <- refreshes.(v) + 1;
-          let j =
-            if refreshes.(v) >= widen_after then begin
-              match widen with
-              | Some w ->
-                incr widenings;
-                w old j
-              | None -> j
-            end
-            else j
-          in
-          (* A widening may return something equal to the old value (it
-             has stabilised); stop propagating in that case too. *)
-          if D.equal old j then false
-          else begin
-            in_.(v) <- Some j;
-            true
-          end
+          in_.(v) <- Some j;
+          true
         end
     in
     (* Entry facts are joined into in(v) like any other edge; since
@@ -121,5 +104,5 @@ module Make (D : DOMAIN) = struct
         by_order;
       pending := Array.exists Fun.id dirty
     done;
-    { in_; out; stats = { iterations = !iterations; visits = !visits; widenings = !widenings } }
+    { in_; out; stats = { iterations = !iterations; visits = !visits } }
 end

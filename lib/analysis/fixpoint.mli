@@ -12,12 +12,9 @@
     element — so callers can distinguish "unreachable" from any real
     lattice value without the domain having to model ⊥.
 
-    Termination: with a finite-height lattice and monotone [transfer],
-    the chaotic iteration converges on its own.  For infinite-height
-    (or merely tall) domains, [widen] is applied in place of [join]
-    once a node's input has been refreshed more than [widen_after]
-    times; the classical requirement is that [widen a b ⊒ a ⊔ b] and
-    that widening chains stabilise. *)
+    Termination: the domain must be a finite-height lattice and
+    [transfer] monotone; the chaotic iteration then converges to the
+    least fixpoint on its own. *)
 
 module type DOMAIN = sig
   type t
@@ -31,7 +28,6 @@ end
 type stats = {
   iterations : int;  (** worklist pops *)
   visits : int;  (** transfer-function applications *)
-  widenings : int;  (** joins replaced by the widening operator *)
 }
 
 module Make (D : DOMAIN) : sig
@@ -44,8 +40,6 @@ module Make (D : DOMAIN) : sig
   }
 
   val solve :
-    ?widen:(D.t -> D.t -> D.t) ->
-    ?widen_after:int ->
     n:int ->
     entries:(int * D.t) list ->
     preds:int list array ->
@@ -60,8 +54,6 @@ module Make (D : DOMAIN) : sig
       by chaotic iteration from the [entries].  Deterministic: the
       worklist is FIFO and seeded in the given entry order, so equal
       inputs produce identical iteration counts and results.
-      [widen_after] defaults to never widening; when [widen] is given
-      it replaces the join of a node's old and new input starting with
-      that node's [widen_after]-th refresh.  Out-of-range predecessor
-      indices are ignored (consistent with {!Cfg.predecessors}). *)
+      Out-of-range predecessor indices are ignored (consistent with
+      {!Cfg.predecessors}). *)
 end

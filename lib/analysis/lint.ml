@@ -57,9 +57,6 @@ let footprint_lines blocks =
     blocks;
   lines
 
-let provenance_of provenance ~block ~line =
-  List.find_opt (fun p -> p.block = block && p.line = line) provenance
-
 let provenance_clause = function
   | Some p ->
     Printf.sprintf " (injected at P=%.2f over %d windows)" p.probability p.windows
@@ -67,6 +64,13 @@ let provenance_clause = function
 
 let hint_findings ~geometry ~provenance ~entry ~abs blocks =
   let footprint = footprint_lines blocks in
+  (* Each hint's provenance by (block, line); the first record wins. *)
+  let provenance_of = Hashtbl.create 64 in
+  List.iter
+    (fun p ->
+      if not (Hashtbl.mem provenance_of (p.block, p.line)) then
+        Hashtbl.add provenance_of (p.block, p.line) p)
+    provenance;
   let classified = Invalidation_check.classify ~geometry ~entry blocks in
   let counts = ref no_hints in
   let proofs = ref no_proofs in
@@ -100,8 +104,7 @@ let hint_findings ~geometry ~provenance ~entry ~abs blocks =
           :: !findings
       end;
       let prov =
-        provenance_of provenance ~block:s.Invalidation_check.block
-          ~line:s.Invalidation_check.line
+        Hashtbl.find_opt provenance_of (s.Invalidation_check.block, s.Invalidation_check.line)
       in
       let why = provenance_clause prov in
       let verb = if s.Invalidation_check.demote then "demotion" else "invalidation" in

@@ -467,6 +467,35 @@ let prop_mutation_orphan =
 
 (* ------------------- nine apps, paper defaults ---------------------- *)
 
+(* [Lint.to_json] without [abstract.solver]: the solver's counts record
+   how the fixpoint was reached, not what it is, so only they may move
+   when the solver does. *)
+let lint_json_sans_solver s =
+  match Lint.to_json s with
+  | Json.Obj fields ->
+    Json.Obj
+      (List.map
+         (function
+           | "abstract", Json.Obj a -> ("abstract", Json.Obj (List.remove_assoc "solver" a))
+           | kv -> kv)
+         fields)
+  | j -> j
+
+(* MD5 of each app's [lint_json_sans_solver] in the run below: every
+   fact count, bound, proof verdict and finding, byte for byte. *)
+let nine_app_lint_digests =
+  [
+    ("cassandra", "f9b159fd80e798eb1e12cb9e121d4dbc");
+    ("drupal", "71a2b3f388db76ae4dc446ce422d091a");
+    ("finagle-chirper", "a25c6e30a22a05743c2b51221db960f2");
+    ("finagle-http", "3b112e3f7dc2ca75cfa7710812ce5cf5");
+    ("kafka", "a32cb412b0e4fba87a892904f9cfd0fa");
+    ("mediawiki", "c9ea6e3b816250174fb80b49ae3b692a");
+    ("tomcat", "6a3dc78e65c6dc3afb95a055e0d52827");
+    ("verilator", "0189be0416986be5b2e5b89e84b84da3");
+    ("wordpress", "856f8afc8dc4b21947060765728b03c6");
+  ]
+
 let test_nine_apps_no_errors () =
   List.iter
     (fun (m : W.App_model.t) ->
@@ -485,7 +514,12 @@ let test_nine_apps_no_errors () =
         checki (m.W.App_model.name ^ ": no error findings") 0 s.Lint.errors;
         checki
           (m.W.App_model.name ^ ": hints all classified")
-          analysis.Pipeline.injection.Injector.injected s.Lint.hints.Lint.total)
+          analysis.Pipeline.injection.Injector.injected s.Lint.hints.Lint.total;
+        let got = Digest.to_hex (Digest.string (Json.to_string (lint_json_sans_solver s))) in
+        check Alcotest.string
+          (m.W.App_model.name ^ ": lint json digest")
+          (List.assoc m.W.App_model.name nine_app_lint_digests)
+          got)
     W.Apps.all
 
 (* ----------------- satellite: cue-block drop report ----------------- *)
@@ -618,7 +652,7 @@ module Registry = Ripple_cache.Registry
 module Simulator = Ripple_cpu.Simulator
 
 (* Integers under [max]: the simplest tall chain, enough to exercise
-   plain convergence, joins and widening. *)
+   plain convergence and joins. *)
 module FMax = Fixpoint.Make (struct
   type t = int
 
@@ -651,8 +685,7 @@ let test_fixpoint_diamond_join () =
   checkb "join of arms" true (r.FMax.in_.(3) = Some 5)
 
 let test_fixpoint_loop_saturates () =
-  (* A self loop under a capped increment climbs to the cap and stops,
-     with no widening involved. *)
+  (* A self loop under a capped increment climbs to the cap and stops. *)
   let r =
     FMax.solve ~n:1 ~entries:[ (0, 0) ]
       ~preds:[| [ 0 ] |]
@@ -660,24 +693,7 @@ let test_fixpoint_loop_saturates () =
       ()
   in
   checkb "reaches the cap" true (r.FMax.in_.(0) = Some 10);
-  checkb "climbed, not guessed" true (r.FMax.stats.Fixpoint.iterations > 5);
-  checki "no widening configured" 0 r.FMax.stats.Fixpoint.widenings
-
-let test_fixpoint_widening () =
-  (* The same loop with a 1e6 cap would take ~1e6 refreshes; a
-     jump-to-cap widening after 3 must terminate it almost at once. *)
-  let cap = 1_000_000 in
-  let r =
-    FMax.solve
-      ~widen:(fun old fresh -> if fresh > old then cap else old)
-      ~widen_after:3 ~n:1 ~entries:[ (0, 0) ]
-      ~preds:[| [ 0 ] |]
-      ~transfer:(fun _ x -> min (x + 1) cap)
-      ()
-  in
-  checkb "widened to the cap" true (r.FMax.in_.(0) = Some cap);
-  checkb "widening fired" true (r.FMax.stats.Fixpoint.widenings > 0);
-  checkb "terminated early" true (r.FMax.stats.Fixpoint.iterations < 100)
+  checkb "climbed, not guessed" true (r.FMax.stats.Fixpoint.iterations > 5)
 
 (* --------------- layer 4: abstract cache interpretation -------------- *)
 
@@ -788,6 +804,28 @@ let test_abs_verdicts () =
   in
   checkb "outside footprint is a no-op" true
     (Abs.prove abs ~block:0 ~index:0 = Abs.Proved_noop)
+
+let test_abs_leak_rule () =
+  (* Block 0 touches [l] and invalidates it, then branches to block 1
+     (on another set's line, looping on itself or leaving for block 2)
+     or to block 2, which re-references [l].  Block 1 is outside [l]'s
+     slice, so the slice joins block 0 straight to block 2; but the
+     path that stays in block 1's loop forever never re-references
+     [l], so no first event is guaranteed and the hint is not harmful. *)
+  let l = line_at 0 in
+  let abs =
+    abs_analyze
+      [|
+        mk ~bytes:32
+          ~hints:[| Basic_block.Invalidate l |]
+          ~id:0 ~addr:(at 0)
+          (Basic_block.Cond { taken = 1; fallthrough = 2 });
+        mk ~id:1 ~addr:(at 1) (Basic_block.Cond { taken = 1; fallthrough = 2 });
+        mk ~bytes:32 ~id:2 ~addr:(at 0 + 32) Basic_block.Halt;
+      |]
+  in
+  checkb "loop outside the slice leaks" true
+    (Abs.prove abs ~block:0 ~index:0 = Abs.Unproved)
 
 let test_lint_classifier_disagreement () =
   (* Reuse that flows only through the Return resumption: the path
@@ -914,6 +952,64 @@ let prop_abs_agreement =
           | _ -> true)
         (Icheck.classify_proved ~geometry:tiny_geometry ~entry:(Program.entry program)
            (Program.blocks program)))
+
+(* Hints over a generated program, drawn per block from the seed:
+   invalidations of the block's own line or of any line of the text,
+   the same invalidation twice, demotions, and mixes. *)
+let with_dense_hints seed program =
+  let blocks = Program.blocks program in
+  let n = Array.length blocks in
+  let rng = Random.State.make [| seed |] in
+  let line_of v =
+    let ls = Basic_block.lines blocks.(v) in
+    List.nth ls (Random.State.int rng (List.length ls))
+  in
+  let any_line () = line_of (Random.State.int rng n) in
+  let hints =
+    Array.init n (fun v ->
+        match Random.State.int rng 10 with
+        | 0 -> [ Basic_block.Invalidate (any_line ()) ]
+        | 1 -> [ Basic_block.Invalidate (line_of v) ]
+        | 2 ->
+          let l = any_line () in
+          [ Basic_block.Invalidate l; Basic_block.Invalidate l ]
+        | 3 -> [ Basic_block.Demote (any_line ()) ]
+        | 4 -> [ Basic_block.Invalidate (any_line ()); Basic_block.Demote (line_of v) ]
+        | _ -> [])
+  in
+  fst (Program.with_hints program ~hints)
+
+let prop_abs_matches_reference =
+  QCheck.Test.make ~count:200 ~name:"sliced facts and verdicts equal the dense reference"
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let program = with_dense_hints seed (tiny_program seed) in
+      let blocks = Program.blocks program in
+      let entry = Program.entry program in
+      List.iter
+        (fun geometry ->
+          let abs = Abs.analyze ~geometry ~entry blocks in
+          let dense = Abs_cache_ref.analyze ~geometry ~entry blocks in
+          let ways = geometry.Geometry.ways and sets = Geometry.sets geometry in
+          if Abs.facts abs <> Abs_cache_ref.facts dense then
+            QCheck.Test.fail_reportf "%d-way x %d sets: facts differ" ways sets;
+          Array.iteri
+            (fun block (b : Basic_block.t) ->
+              Array.iteri
+                (fun index _ ->
+                  let v = Abs.prove abs ~block ~index in
+                  let v' = Abs_cache_ref.prove dense ~block ~index in
+                  if v <> v' then
+                    QCheck.Test.fail_reportf "%d-way x %d sets: bb%d hint %d: %s, reference %s"
+                      ways sets block index (Abs.verdict_name v) (Abs.verdict_name v'))
+                b.Basic_block.hints)
+            blocks)
+        [
+          tiny_geometry;
+          Geometry.v ~size_bytes:(4 * 8 * Addr.line_size) ~ways:4;
+          Geometry.l1i;
+        ];
+      true)
 
 (* -------------- nine apps: static bounds bracket reality ------------- *)
 
@@ -1070,7 +1166,6 @@ let suites =
         Alcotest.test_case "straight line" `Quick test_fixpoint_straight_line;
         Alcotest.test_case "diamond join" `Quick test_fixpoint_diamond_join;
         Alcotest.test_case "loop saturates" `Quick test_fixpoint_loop_saturates;
-        Alcotest.test_case "widening" `Quick test_fixpoint_widening;
       ] );
     ( "analysis.abs_cache",
       [
@@ -1078,11 +1173,13 @@ let suites =
           test_abs_must_hit_and_always_miss;
         Alcotest.test_case "conflict vs fit" `Quick test_abs_conflict_vs_fit;
         Alcotest.test_case "hint verdicts" `Quick test_abs_verdicts;
+        Alcotest.test_case "leak rule" `Quick test_abs_leak_rule;
         Alcotest.test_case "classifier disagreement" `Quick test_lint_classifier_disagreement;
         Alcotest.test_case "proof counters and json" `Quick test_lint_proof_counters;
         Alcotest.test_case "proven-safe ladder" `Quick test_proven_safe_ladder;
         Alcotest.test_case "nine apps: bounds bracket simulation" `Slow
           test_nine_apps_bounds_bracket;
       ]
-      @ List.map QCheck_alcotest.to_alcotest [ prop_abs_soundness; prop_abs_agreement ] );
+      @ List.map QCheck_alcotest.to_alcotest
+          [ prop_abs_soundness; prop_abs_agreement; prop_abs_matches_reference ] );
   ]
