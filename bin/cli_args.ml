@@ -222,6 +222,13 @@ let geometry_term =
             | exception Invalid_argument m -> Error (`Msg m))
       $ sets_arg $ ways_arg $ line_arg)
 
+(* Rejects values below 1 as a usage error naming the flag, as
+   [geometry_term] does for --ways and --sets. *)
+let positive flag arg =
+  Term.term_result
+    Term.(
+      const (fun n -> if n < 1 then Error (`Msg (flag ^ " must be positive")) else Ok n) $ arg)
+
 let threshold_arg =
   Arg.(
     value

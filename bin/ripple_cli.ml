@@ -636,7 +636,6 @@ let serve_cmd =
 let push_cmd =
   let module Fault = Ripple_fault.Fault in
   let module Client = Ripple_serve.Client in
-  let module Protocol = Ripple_serve.Protocol in
   let module Json = Ripple_util.Json in
   let host_arg =
     Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"ADDR" ~doc:"Daemon address.")
@@ -645,10 +644,11 @@ let push_cmd =
     Arg.(value & opt int 7400 & info [ "port" ] ~docv:"PORT" ~doc:"Daemon protocol port.")
   in
   let chunk_arg =
-    Arg.(
-      value
-      & opt int 4096
-      & info [ "chunk" ] ~docv:"BYTES" ~doc:"Chunk size for streaming the capture.")
+    Cli_args.positive "--chunk"
+      Arg.(
+        value
+        & opt int 4096
+        & info [ "chunk" ] ~docv:"BYTES" ~doc:"Chunk size for streaming the capture.")
   in
   let fault_conv =
     let parse = function
@@ -680,11 +680,12 @@ let push_cmd =
       & info [ "flushes" ] ~docv:"K" ~doc:"Push the capture $(docv) times, flushing after each.")
   in
   let retries_arg =
-    Arg.(
-      value
-      & opt int 8
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"Attempts per capture for the resumable push (reconnect-and-resume).")
+    Cli_args.positive "--retries"
+      Arg.(
+        value
+        & opt int 8
+        & info [ "retries" ] ~docv:"N"
+            ~doc:"Attempts per capture for the resumable push (reconnect-and-resume).")
   in
   let timeout_arg =
     Arg.(
@@ -692,69 +693,36 @@ let push_cmd =
       & opt float 5.0
       & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Socket send/receive timeout per operation.")
   in
-  let v1_flag =
-    Arg.(
-      value
-      & flag
-      & info [ "v1" ]
-          ~doc:
-            "Use the legacy unsequenced protocol on one blocking connection (no retries, no \
-             resume) instead of the sequenced at-least-once push.")
-  in
-  let run app host port n_instrs chunk fault seed flushes retries timeout v1 =
+  let run app host port n_instrs chunk fault seed flushes retries timeout =
     let workload = W.Cfg_gen.generate app in
     let program = workload.W.Cfg_gen.program in
     let trace = W.Executor.run workload ~input:W.Executor.train ~n_instrs in
     let data = Pt.encode program trace in
     let data = match fault with None -> data | Some f -> Fault.corrupt_pt ~seed f data in
     let name = app.W.App_model.name in
-    if v1 then begin
-      let client = Client.connect ~host ~port () in
-      let expect label = function
-        | Protocol.Ok json -> json
-        | Protocol.Error msg -> failwith (Printf.sprintf "push: %s failed: %s" label msg)
-      in
-      ignore (expect "hello" (Client.request client (Protocol.Hello name)) : Json.t);
-      for _ = 1 to flushes do
-        let len = Bytes.length data in
-        let pos = ref 0 in
-        while !pos < len do
-          let n = min chunk (len - !pos) in
-          ignore
-            (expect "chunk" (Client.request client (Protocol.Chunk (Bytes.sub data !pos n)))
-              : Json.t);
-          pos := !pos + n
-        done;
-        let status = expect "flush" (Client.request client Protocol.Flush) in
+    for k = 1 to flushes do
+      match
+        Client.push_with_retries ~attempts:retries ~timeout ~seed:(seed + k) ~chunk ~host ~port
+          ~app:name data
+      with
+      | Ok { Client.status; attempts_used } ->
+        if attempts_used > 1 then
+          Printf.eprintf "push: capture %d took %d attempts\n%!" k attempts_used;
         print_endline (Json.to_string status)
-      done;
-      ignore (expect "bye" (Client.request client Protocol.Bye) : Json.t);
-      Client.close client
-    end
-    else
-      for k = 1 to flushes do
-        match
-          Client.push_with_retries ~attempts:retries ~timeout ~seed:(seed + k) ~chunk ~host
-            ~port ~app:name data
-        with
-        | Ok { Client.status; attempts_used } ->
-          if attempts_used > 1 then
-            Printf.eprintf "push: capture %d took %d attempts\n%!" k attempts_used;
-          print_endline (Json.to_string status)
-        | Error msg -> failwith ("push: " ^ msg)
-      done
+      | Error msg -> failwith ("push: " ^ msg)
+    done
   in
   Cmd.v
     (Cmd.info "push"
        ~doc:
          "Capture an application's profile as an encoded PT stream (optionally \
           fault-injected) and stream it to a running $(b,serve) daemon in chunks, flushing \
-          at the end; prints the daemon's status report per flush.  The default push is \
+          at the end; prints the daemon's status report per flush.  The push is \
           resumable: sequenced frames, at-least-once delivery with server-side dedup, and \
           reconnect-and-resume with backoff on any network fault.")
     Term.(
       const run $ Cli_args.app_pos_arg $ host_arg $ port_arg $ Cli_args.instrs_arg $ chunk_arg
-      $ fault_arg $ seed_arg $ flushes_arg $ retries_arg $ timeout_arg $ v1_flag)
+      $ fault_arg $ seed_arg $ flushes_arg $ retries_arg $ timeout_arg)
 
 let () =
   let info =

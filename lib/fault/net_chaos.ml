@@ -260,7 +260,9 @@ let live_status ~port ~app =
   Fun.protect
     ~finally:(fun () -> Client.close c)
     (fun () ->
-      ignore (expect_ok (Client.request c (Protocol.Hello app)) : Json.t);
+      ignore
+        (expect_ok (Client.request c (Protocol.Hello_v { app; version = Protocol.version }))
+          : Json.t);
       expect_ok (Client.request c Protocol.Status))
 
 let spawn_daemon ~config = fork_child (fun () -> Server.serve_forever (Server.create config); 0)

@@ -27,58 +27,44 @@ let write_all fd s =
     pos := !pos + Unix.write_substring fd s !pos (len - !pos)
   done
 
-let request t frame =
+let int_field key json =
+  match Json.member key json with Some (Json.Int n) -> Some n | _ -> None
+
+(* Write one frame and read replies until one that is not [stale]
+   arrives. *)
+let exchange ~label ~stale t frame =
   let out = Buffer.create 256 in
   Protocol.write_frame out frame;
   write_all t.fd (Buffer.contents out);
   let rec await () =
     match Protocol.Reader.pop_reply t.reader with
+    | `Reply r when stale r -> await ()
     | `Reply r -> r
-    | `Corrupt msg -> failwith ("Client.request: " ^ msg)
+    | `Corrupt msg -> failwith (label ^ ": " ^ msg)
     | `Awaiting -> begin
       match Unix.read t.fd t.buf 0 (Bytes.length t.buf) with
-      | 0 -> failwith "Client.request: server closed connection"
+      | 0 -> failwith (label ^ ": server closed connection")
       | n ->
         Protocol.Reader.add t.reader t.buf n;
         await ()
     end
   in
   await ()
+
+let request = exchange ~label:"Client.request" ~stale:(fun _ -> false)
+
+(* A duplicating fault can make the server send more replies than the
+   client sent frames, knocking the lockstep request/reply pairing out
+   of alignment — replies tagged with an older sequence number are
+   stale echoes and are skipped. *)
+let request_seq t frame ~seq =
+  exchange ~label:"Client.request_seq" t frame ~stale:(function
+    | Protocol.Ok json -> ( match int_field "seq" json with Some s -> s < seq | None -> false)
+    | Protocol.Error _ -> false)
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 (* ------------------------- resumable push ------------------------- *)
-
-let int_field key json =
-  match Json.member key json with Some (Json.Int n) -> Some n | _ -> None
-
-(* Write one sequenced frame and read replies until the one answering
-   [seq] arrives.  A duplicating fault can make the server send more
-   replies than the client sent frames, knocking the lockstep
-   request/reply pairing out of alignment — replies tagged with an older
-   sequence number are stale echoes and are skipped. *)
-let request_seq t frame ~seq =
-  let out = Buffer.create 256 in
-  Protocol.write_frame out frame;
-  write_all t.fd (Buffer.contents out);
-  let rec await () =
-    match Protocol.Reader.pop_reply t.reader with
-    | `Reply (Protocol.Ok json as r) -> begin
-      match int_field "seq" json with
-      | Some s when s < seq -> await ()
-      | _ -> r
-    end
-    | `Reply r -> r
-    | `Corrupt msg -> failwith ("Client.request_seq: " ^ msg)
-    | `Awaiting -> begin
-      match Unix.read t.fd t.buf 0 (Bytes.length t.buf) with
-      | 0 -> failwith "Client.request_seq: server closed connection"
-      | n ->
-        Protocol.Reader.add t.reader t.buf n;
-        await ()
-    end
-  in
-  await ()
 
 type push_result = { status : Json.t; attempts_used : int }
 
@@ -90,6 +76,7 @@ let split_chunks chunk data =
 let push_with_retries ?(attempts = 8) ?(timeout = 5.0) ?(backoff = 0.05) ?(seed = 42)
     ?(chunk = 4096) ~host ~port ~app data =
   if attempts < 1 then invalid_arg "Client.push_with_retries: attempts must be positive";
+  if chunk < 1 then invalid_arg "Client.push_with_retries: chunk must be positive";
   let chunks = Array.of_list (split_chunks chunk data) in
   let n = Array.length chunks in
   let prng = Prng.create ~seed in
@@ -118,16 +105,7 @@ let push_with_retries ?(attempts = 8) ?(timeout = 5.0) ?(backoff = 0.05) ?(seed 
           | Protocol.Error msg -> Error ("hello: " ^ msg)
           | Protocol.Ok hello -> begin
             match int_field "next_seq" hello with
-            | None ->
-              (* v1 server: no resume horizon.  Push unsequenced and
-                 hope — still correct when nothing interferes. *)
-              Array.iter (fun data -> ignore (request c (Protocol.Chunk data))) chunks;
-              let status =
-                match request c Protocol.Flush with
-                | Protocol.Ok json -> json
-                | Protocol.Error msg -> failwith ("flush: " ^ msg)
-              in
-              Ok status
+            | None -> Error "hello: reply carries no next_seq"
             | Some next_seq -> begin
               let b =
                 match !base with
@@ -184,19 +162,22 @@ let push_with_retries ?(attempts = 8) ?(timeout = 5.0) ?(backoff = 0.05) ?(seed 
 
 let scrape ~host ~port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-  write_all fd (Printf.sprintf "GET /metrics HTTP/1.1\r\nHost: %s\r\nConnection: close\r\n\r\n" host);
   let b = Buffer.create 4096 in
-  let chunk = Bytes.create 65536 in
-  let rec drain () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> ()
-    | n ->
-      Buffer.add_subbytes b chunk 0 n;
-      drain ()
-  in
-  drain ();
-  (try Unix.close fd with Unix.Unix_error _ -> ());
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+      write_all fd
+        (Printf.sprintf "GET /metrics HTTP/1.1\r\nHost: %s\r\nConnection: close\r\n\r\n" host);
+      let chunk = Bytes.create 65536 in
+      let rec drain () =
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> ()
+        | n ->
+          Buffer.add_subbytes b chunk 0 n;
+          drain ()
+      in
+      drain ());
   let response = Buffer.contents b in
   match String.index_opt response '\r' with
   | None -> response

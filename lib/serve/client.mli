@@ -1,13 +1,14 @@
 (** Client side of the {!Protocol} wire format — what [ripple-sim push]
     and the end-to-end tests speak to a running daemon.
 
-    {!connect}/{!request} are the minimal blocking v1 surface.
-    {!push_with_retries} is the resumable v2 push: at-least-once
-    delivery over sequenced frames, reconnect-and-resume after any
-    network fault, exponential backoff with seeded jitter.  Its safety
-    argument is the server's sequence dedup ({!Session.apply_chunk}):
-    replaying an already-applied frame is acknowledged, never
-    re-applied, so the worst a fault can cost is time. *)
+    {!connect}/{!request}/{!request_seq} exchange single frames on one
+    blocking connection.  {!push_with_retries} is the resumable push:
+    at-least-once delivery over sequenced frames, reconnect-and-resume
+    after any network fault, exponential backoff with seeded jitter.
+    Its safety argument is the server's sequence dedup
+    ({!Session.apply_chunk}): replaying an already-applied frame is
+    acknowledged, never re-applied, so the worst a fault can cost is
+    time. *)
 
 type t
 
@@ -53,8 +54,11 @@ val push_with_retries :
     status instead of re-sending.  Defaults: 8 [attempts], 5s
     [timeout] per socket operation, [backoff] 50ms doubling with
     jitter from [seed].  Returns [Error] only once every attempt is
-    exhausted. *)
+    exhausted.  Raises [Invalid_argument] if [attempts] or [chunk] is
+    below 1. *)
 
 val scrape : host:string -> port:int -> string
 (** Fetch the OpenMetrics exposition from the daemon's metrics
-    endpoint (a one-shot [GET /metrics]); returns the body only. *)
+    endpoint (a one-shot [GET /metrics]); returns the body only.  The
+    socket is closed on every path, including when connecting or
+    reading raises [Unix.Unix_error]. *)

@@ -1,11 +1,8 @@
 module Json = Ripple_util.Json
 
 type frame =
-  | Hello of string
   | Hello_v of { app : string; version : int }
-  | Chunk of bytes
   | Chunk_seq of { seq : int; data : bytes }
-  | Flush
   | Flush_seq of { seq : int }
   | Status
   | Bye
@@ -17,25 +14,20 @@ type reply = Ok of Json.t | Error of string
    the reader try to buffer. *)
 let max_payload = 16 * 1024 * 1024
 
-(* Highest protocol version this build speaks.  v1 is the original
-   unsequenced frame set; v2 adds version negotiation in Hello and
-   per-session sequence numbers on Chunk/Flush so pushes are
-   at-least-once with server-side dedup. *)
+(* The sequenced dialect: per-session sequence numbers on chunks and
+   flushes make pushes at-least-once with server-side dedup. *)
 let version = 2
 
 let frame_name = function
-  | Hello _ | Hello_v _ -> "hello"
-  | Chunk _ | Chunk_seq _ -> "chunk"
-  | Flush | Flush_seq _ -> "flush"
+  | Hello_v _ -> "hello"
+  | Chunk_seq _ -> "chunk"
+  | Flush_seq _ -> "flush"
   | Status -> "status"
   | Bye -> "bye"
 
 let tag_of_frame = function
-  | Hello _ -> 'H'
   | Hello_v _ -> 'h'
-  | Chunk _ -> 'C'
   | Chunk_seq _ -> 'c'
-  | Flush -> 'F'
   | Flush_seq _ -> 'f'
   | Status -> 'S'
   | Bye -> 'B'
@@ -75,14 +67,12 @@ let check_seq seq =
 let write_frame buf frame =
   let payload =
     match frame with
-    | Hello app -> app
     | Hello_v { app; version } ->
       if version < 1 || version > 0xFF then invalid_arg "Protocol.write_frame: bad version";
       String.make 1 (Char.chr version) ^ app
-    | Chunk data -> Bytes.to_string data
     | Chunk_seq { seq; data } -> u32_to_string (check_seq seq) ^ Bytes.to_string data
     | Flush_seq { seq } -> u32_to_string (check_seq seq)
-    | Flush | Status | Bye -> ""
+    | Status | Bye -> ""
   in
   write buf (tag_of_frame frame) payload
 
@@ -137,7 +127,6 @@ module Reader = struct
     | `Corrupt _ as c -> c
     | `Raw (tag, payload) -> begin
       match tag with
-      | 'H' -> `Frame (Hello payload)
       | 'h' ->
         if String.length payload < 1 then `Corrupt "hello-v payload too short"
         else
@@ -147,7 +136,6 @@ module Reader = struct
                  app = String.sub payload 1 (String.length payload - 1);
                  version = Char.code payload.[0];
                })
-      | 'C' -> `Frame (Chunk (Bytes.of_string payload))
       | 'c' ->
         if String.length payload < 4 then `Corrupt "sequenced chunk payload too short"
         else
@@ -157,7 +145,6 @@ module Reader = struct
                  seq = u32_of_string payload 0;
                  data = Bytes.of_string (String.sub payload 4 (String.length payload - 4));
                })
-      | 'F' -> `Frame Flush
       | 'f' ->
         if String.length payload <> 4 then `Corrupt "sequenced flush payload malformed"
         else `Frame (Flush_seq { seq = u32_of_string payload 0 })

@@ -7,29 +7,28 @@
     slices and yields exactly the frames the peer wrote, however the
     transport split them.
 
-    Two dialects share the frame set.  Version 1 is the original
-    fair-weather protocol: [Hello], unsequenced [Chunk]s, [Flush],
-    [Status], [Bye].  Version 2 ({!version}) makes the push resumable:
-    [Hello_v] negotiates a version (the server replies with the one it
-    granted plus the session's next expected sequence number), and
-    [Chunk_seq]/[Flush_seq] carry per-session sequence numbers so
-    delivery is at-least-once — the server applies a frame exactly once
-    and answers duplicates idempotently, which is what lets a client
-    reconnect after any network fault and resume where the server
-    actually got to.  Every frame is answered with one reply. *)
+    Pushes are resumable.  [Hello_v] names the app and the client's
+    protocol version; the server answers with the version it speaks
+    ({!version}) plus the session's next expected sequence number, and
+    refuses older versions.  [Chunk_seq]/[Flush_seq] carry per-session
+    sequence numbers so delivery is at-least-once — the server applies
+    a frame exactly once and answers duplicates idempotently, which is
+    what lets a client reconnect after any network fault and resume
+    where the server actually got to.  Every frame is answered with one
+    reply; an unknown tag is corrupt. *)
 
 type frame =
-  | Hello of string  (** v1: register/select the named app *)
   | Hello_v of { app : string; version : int }
-      (** v2: also request a protocol version; the reply carries the
-          granted version and the session's [next_seq] *)
-  | Chunk of bytes  (** v1: raw PT-stream bytes, any split *)
+      (** register/select the named app at the client's protocol
+          version; the reply carries the server's version and the
+          session's [next_seq] *)
   | Chunk_seq of { seq : int; data : bytes }
-      (** v2: sequenced PT-stream bytes; [seq] must equal the session's
-          next expected number to be applied, smaller numbers are
-          acknowledged as duplicates, larger ones rejected as a gap *)
-  | Flush  (** v1: end of capture: close the generation, re-emit hints *)
-  | Flush_seq of { seq : int }  (** v2: sequenced [Flush], same dedup rules *)
+      (** sequenced PT-stream bytes, any split; [seq] must equal the
+          session's next expected number to be applied, smaller numbers
+          are acknowledged as duplicates, larger ones rejected as a gap *)
+  | Flush_seq of { seq : int }
+      (** sequenced end of capture: close the generation, re-emit
+          hints; same dedup rules *)
   | Status  (** report the bound session's state *)
   | Bye  (** close the connection (the session itself persists) *)
 
@@ -41,11 +40,11 @@ val max_payload : int
 (** Frames advertising a larger payload are rejected as corrupt. *)
 
 val version : int
-(** Highest protocol version this build speaks (2). *)
+(** The protocol version this build speaks (2). *)
 
 val frame_name : frame -> string
 (** ["hello"], ["chunk"], ["flush"], ["status"], ["bye"] — span and
-    metric label values (v1/v2 variants share names). *)
+    metric label values. *)
 
 val write_frame : Buffer.t -> frame -> unit
 val write_reply : Buffer.t -> reply -> unit

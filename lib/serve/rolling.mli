@@ -1,11 +1,11 @@
 (** Rolling windowed profile: the daemon's memory of recent captures.
 
-    Each [Hello]-to-[Flush] cycle closes one {e generation} — the blocks a
-    {!Ripple_trace.Pt.Session} decoded from that capture, plus the
-    header's advertised count and the error/resync tallies.  The window
-    keeps whole generations, newest last, and evicts the oldest while
-    the total block count exceeds the capacity (always keeping at least
-    one, so a single oversized capture is not silently dropped).
+    Each capture's flush ([Flush_seq]) closes one {e generation} — the
+    blocks a {!Ripple_trace.Pt.Session} decoded from that capture, plus
+    the header's advertised count and the error/resync tallies.  The
+    window keeps whole generations, newest last, and evicts the oldest
+    while the total block count exceeds the capacity (always keeping at
+    least one, so a single oversized capture is not silently dropped).
 
     Evicting whole generations keeps the merged trace a concatenation
     of legal paths: drift measured on it only crosses generation

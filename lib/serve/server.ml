@@ -155,9 +155,9 @@ let snapshot_all t =
     t.sessions
 
 module Conn = struct
-  type conn = { mutable session : Session.t option; mutable version : int }
+  type conn = { mutable session : Session.t option }
 
-  let create () = { session = None; version = 1 }
+  let create () = { session = None }
 
   let bind_session t conn app =
     match find_session t app with
@@ -184,32 +184,18 @@ module Conn = struct
       ("serve/" ^ Protocol.frame_name frame)
       (fun () ->
         match frame with
-        | Protocol.Hello app | Protocol.Hello_v { app; _ } -> begin
-          let version =
-            match frame with
-            | Protocol.Hello_v { version; _ } -> min (max version 1) Protocol.version
-            | _ -> 1
-          in
-          conn.version <- version;
+        | Protocol.Hello_v { version; _ } when version < Protocol.version ->
+          (Protocol.Error (Printf.sprintf "unsupported protocol version %d" version), `Keep)
+        | Protocol.Hello_v { app; _ } -> begin
           match bind_session t conn app with
           | `Ok s ->
-            let extra =
-              match frame with
-              | Protocol.Hello_v _ -> [ ("version", Json.Int version) ]
-              | _ -> []
-            in
-            (Protocol.Ok (with_fields extra (Session.status s)), `Keep)
+            ( Protocol.Ok
+                (with_fields [ ("version", Json.Int Protocol.version) ] (Session.status s)),
+              `Keep )
           | `Overloaded ->
             Obs.Metric.incr t.cells.connections_shed;
             (Protocol.Error "overloaded", `Keep)
           | `Unknown -> (Protocol.Error (Printf.sprintf "unknown app %S" app), `Keep)
-        end
-        | Protocol.Chunk data -> begin
-          match conn.session with
-          | None -> (Protocol.Error "chunk before hello", `Keep)
-          | Some s ->
-            let decoded = Session.feed s data in
-            (Protocol.Ok (Json.Obj [ ("decoded", Json.Int decoded) ]), `Keep)
         end
         | Protocol.Chunk_seq { seq; data } -> begin
           match conn.session with
@@ -232,14 +218,6 @@ module Conn = struct
             | `Gap expected ->
               (Protocol.Error (Printf.sprintf "gap: expected seq %d" expected), `Keep)
           end
-        end
-        | Protocol.Flush -> begin
-          match conn.session with
-          | None -> (Protocol.Error "flush before hello", `Keep)
-          | Some s ->
-            Session.flush s;
-            if t.store <> None then Obs.Metric.incr t.cells.snapshots_written;
-            (Protocol.Ok (Session.status s), `Keep)
         end
         | Protocol.Flush_seq { seq } -> begin
           match conn.session with

@@ -4,7 +4,7 @@
 
     One process holds one {!Ripple_obs.Run.t} and a registry of
     {!Session}s keyed by app name.  Connections bind to a session with
-    [Hello]/[Hello_v] and stream chunks; sessions outlive connections,
+    [Hello_v] and stream chunks; sessions outlive connections,
     so a fleet agent can reconnect and keep extending the same rolling
     profile.  Every frame is handled under a [serve/<frame>] span; the
     scrape endpoint renders the live snapshot, whose [# TYPE] lines are
@@ -16,7 +16,7 @@
     durable ({!Snapshot}): flushes write atomic snapshots, in-flight
     chunks are journaled write-ahead, and {!create} recovers every
     session found in the directory — so [kill -9] loses nothing a
-    resumed v2 push can't finish.  SIGTERM is the {e polite} spelling of
+    resumed push can't finish.  SIGTERM is the {e polite} spelling of
     the same contract: drain buffered replies, snapshot every session,
     remove the ready file, return from {!serve_forever}.
 
@@ -87,8 +87,7 @@ val snapshot_all : t -> unit
 (** Write every session's snapshot now (no-op without a store) —
     the graceful-drain persistence step, exposed for tests. *)
 
-(** Per-connection protocol state: which session [Hello] bound and the
-    negotiated protocol version. *)
+(** Per-connection protocol state: which session [Hello_v] bound. *)
 module Conn : sig
   type conn
 
@@ -97,9 +96,10 @@ module Conn : sig
   val handle : t -> conn -> Protocol.frame -> Protocol.reply * [ `Keep | `Close ]
   (** Pure protocol logic — no sockets — so daemon behaviour is testable
       in-process.  [`Close] is returned for [Bye] (and the reply is
-      still to be written first).  [Hello_v] grants
-      [min (requested, {!Protocol.version})] and echoes it with the
-      session status (which carries [next_seq]); sequenced frames are
+      still to be written first).  [Hello_v] answers with
+      {!Protocol.version} and the session status (which carries
+      [next_seq]); a version below {!Protocol.version} gets
+      [Error "unsupported protocol version N"].  Chunks and flushes are
       answered with their [seq] (plus ["dup": true] on replays, which
       also count into [ripple_serve_client_retries]); out-of-order
       frames get [Error "gap: expected seq N"]; registrations over

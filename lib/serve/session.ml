@@ -264,16 +264,6 @@ let apply_flush t ~seq =
     `Applied
   end
 
-(* v1 entry points: unsequenced traffic consumes sequence numbers
-   implicitly, so v1 and v2 clients share one dedup/journal horizon. *)
-let feed t chunk =
-  match apply_chunk t ~seq:t.next_seq chunk with
-  | `Applied decoded | `Duplicate decoded -> decoded
-  | `Gap _ -> assert false
-
-let flush t =
-  match apply_flush t ~seq:t.next_seq with `Applied | `Duplicate -> () | `Gap _ -> assert false
-
 (* ----------------------------- recovery ------------------------------ *)
 
 let restore ?store ~obs ~options ~window ~reemit_every ~program (state : Snapshot.state)

@@ -14,9 +14,9 @@
     missing tail is judged at flush).
 
     {b Sequencing and durability.}  Every state-changing frame (chunk or
-    flush) consumes one sequence number; {!apply_chunk}/{!apply_flush}
+    flush) carries one sequence number; {!apply_chunk}/{!apply_flush}
     apply a frame exactly once and answer replays idempotently, which is
-    what makes v2 pushes at-least-once safe.  With a
+    what makes pushes at-least-once safe.  With a
     {!Snapshot.Store} attached, chunks are journaled (write-ahead,
     fsynced) before decoding and every flush writes an atomic snapshot,
     so {!restore} after a [kill -9] rebuilds the session — rolling
@@ -98,13 +98,6 @@ val apply_flush : t -> seq:int -> [ `Applied | `Duplicate | `Gap of int ]
 (** Sequenced flush, same dedup rules.  An applied flush closes the
     generation, re-emits, snapshots (when durable) and resets the
     journal. *)
-
-val feed : t -> bytes -> int
-(** v1 unsequenced chunk: consumes the next sequence number implicitly.
-    Returns blocks decoded so far in the in-flight generation. *)
-
-val flush : t -> unit
-(** v1 unsequenced flush: consumes the next sequence number implicitly. *)
 
 val save : t -> unit
 (** Write the snapshot now (graceful-drain hook).  No-op without a

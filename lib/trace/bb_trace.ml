@@ -1,6 +1,7 @@
 module Program = Ripple_isa.Program
 module Basic_block = Ripple_isa.Basic_block
 module Access = Ripple_cache.Access
+module Access_stream = Ripple_cache.Access_stream
 
 type t = int array
 

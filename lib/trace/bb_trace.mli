@@ -21,11 +21,12 @@ val n_hint_instrs : Program.t -> t -> int
 val exec_counts : Program.t -> t -> int array
 (** Per-block execution counts, indexed by block id. *)
 
-val demand_stream : Program.t -> t -> Access_stream.t
+val demand_stream : Program.t -> t -> Ripple_cache.Access_stream.t
 (** Demand-only I-cache access stream: for each executed block, one
     access per line its bytes (plus hints) touch, in address order.
-    Built incrementally into packed chunks ({!Access_stream}), so
-    expansion allocates one word per access and nothing else. *)
+    Built incrementally into packed chunks
+    ({!Ripple_cache.Access_stream}), so expansion allocates one word
+    per access and nothing else. *)
 
 val illegal_transitions : Program.t -> t -> int
 (** Number of consecutive pairs in the trace that the program's static

@@ -412,7 +412,8 @@ let test_state_loss_rebase () =
           | Protocol.Error msg -> Alcotest.failf "%s: %s" label msg
         in
         let c = Client.connect ~timeout:10.0 ~host:"127.0.0.1" ~port () in
-        ignore (ok "hello live" (Client.request c (Protocol.Hello "kafka")));
+        ignore
+          (ok "hello live" (Client.request c (Protocol.Hello_v { app = "kafka"; version = 2 })));
         let live = ok "status live" (Client.request c Protocol.Status) in
         Client.close c;
         check_status_equal "rebased push after state loss" control live;

@@ -132,11 +132,11 @@ let test_session_drain () =
 let test_protocol_roundtrip () =
   let frames =
     [
-      Protocol.Hello "cassandra";
-      Protocol.Chunk (Bytes.of_string "\x00\x01\x02\xff");
-      Protocol.Flush;
+      Protocol.Hello_v { app = "cassandra"; version = Protocol.version };
+      Protocol.Chunk_seq { seq = 0; data = Bytes.of_string "\x00\x01\x02\xff" };
+      Protocol.Flush_seq { seq = 1 };
       Protocol.Status;
-      Protocol.Chunk Bytes.empty;
+      Protocol.Chunk_seq { seq = 2; data = Bytes.empty };
       Protocol.Bye;
     ]
   in
@@ -166,21 +166,36 @@ let test_protocol_roundtrip () =
     (fun sent got ->
       checks "frame kind" (Protocol.frame_name sent) (Protocol.frame_name got);
       match (sent, got) with
-      | Protocol.Chunk a, Protocol.Chunk b -> checkb "chunk payload" true (Bytes.equal a b)
-      | Protocol.Hello a, Protocol.Hello b -> checks "hello payload" a b
+      | Protocol.Chunk_seq a, Protocol.Chunk_seq b ->
+        checki "chunk seq" a.seq b.seq;
+        checkb "chunk payload" true (Bytes.equal a.data b.data)
+      | Protocol.Hello_v a, Protocol.Hello_v b ->
+        checks "hello app" a.app b.app;
+        checki "hello version" a.version b.version
+      | Protocol.Flush_seq a, Protocol.Flush_seq b -> checki "flush seq" a.seq b.seq
       | _ -> ())
     frames (List.rev !got)
 
 let test_protocol_corrupt () =
-  let reader = Protocol.Reader.create () in
-  let junk = Bytes.of_string "Z\x00\x00\x00\x00" in
-  Protocol.Reader.add reader junk (Bytes.length junk);
-  (match Protocol.Reader.pop_frame reader with
-  | `Corrupt _ -> ()
-  | `Awaiting | `Frame _ -> Alcotest.fail "unknown tag must be corrupt");
+  (* Unknown tags are corrupt whatever the payload, the unsequenced
+     version-1 tags 'H', 'C' and 'F' included. *)
+  List.iter
+    (fun junk ->
+      let reader = Protocol.Reader.create () in
+      let junk = Bytes.of_string junk in
+      Protocol.Reader.add reader junk (Bytes.length junk);
+      match Protocol.Reader.pop_frame reader with
+      | `Corrupt _ -> ()
+      | `Awaiting | `Frame _ -> Alcotest.failf "tag %C must be corrupt" (Bytes.get junk 0))
+    [
+      "Z\x00\x00\x00\x00";
+      "H\x00\x00\x00\x05kafka";
+      "C\x00\x00\x00\x04\x00\x01\x02\xff";
+      "F\x00\x00\x00\x00";
+    ];
   let reader = Protocol.Reader.create () in
   (* Length prefix far beyond the cap: rejected before buffering. *)
-  let oversized = Bytes.of_string "C\x7f\xff\xff\xff" in
+  let oversized = Bytes.of_string "c\x7f\xff\xff\xff" in
   Protocol.Reader.add reader oversized (Bytes.length oversized);
   (match Protocol.Reader.pop_frame reader with
   | `Corrupt _ -> ()
@@ -257,15 +272,28 @@ let serve_options =
     prefetch = Core.Pipeline.No_prefetch;
   }
 
-let push_capture ?(chunk = 1500) session data =
+(* The kafka fixture captures to ~1.1 KB, so split small: the
+   mid-capture window must hold several chunks for half-pushed state to
+   mean anything. *)
+let chunks_of ?(chunk = 97) data =
   let len = Bytes.length data in
-  let pos = ref 0 in
-  while !pos < len do
-    let n = min chunk (len - !pos) in
-    ignore (Session.feed session (Bytes.sub data !pos n) : int);
-    pos := !pos + n
-  done;
-  Session.flush session
+  let n = (len + chunk - 1) / chunk in
+  List.init n (fun i -> Bytes.sub data (i * chunk) (min chunk (len - (i * chunk))))
+
+(* Frames at the session's own horizon, so each one applies. *)
+let feed_next session chunk =
+  match Session.apply_chunk session ~seq:(Session.next_seq session) chunk with
+  | `Applied _ -> ()
+  | `Duplicate _ | `Gap _ -> Alcotest.fail "chunk at the horizon must apply"
+
+let flush_next session =
+  match Session.apply_flush session ~seq:(Session.next_seq session) with
+  | `Applied -> ()
+  | `Duplicate | `Gap _ -> Alcotest.fail "flush at the horizon must apply"
+
+let push_capture ?(chunk = 1500) session data =
+  List.iter (feed_next session) (chunks_of ~chunk data);
+  flush_next session
 
 (* The drift-gated ladder over a live session: trust is earned by a
    clean flush, stepped down as corrupted captures take over the
@@ -324,17 +352,11 @@ let test_session_reemit_mid_capture () =
     Session.create ~obs ~options:serve_options ~window:max_int ~reemit_every:500 ~name:"kafka"
       ~program ()
   in
-  let len = Bytes.length data in
-  let pos = ref 0 in
-  while !pos < len do
-    let n = min 512 (len - !pos) in
-    ignore (Session.feed s (Bytes.sub data !pos n) : int);
-    pos := !pos + n
-  done;
+  List.iter (feed_next s) (chunks_of ~chunk:512 data);
   checkb "re-emitted before any flush" true (Session.emissions s > 1);
   checkb "mid-capture clean stream already earns trust" true
     (Session.level s = Core.Pipeline.Degrade.Full);
-  Session.flush s;
+  flush_next s;
   checkb "flush still lands at full" true (Session.level s = Core.Pipeline.Degrade.Full)
 
 (* ------------------------ daemon, in-process ------------------------- *)
@@ -360,21 +382,26 @@ let expect_error label = function
   | Protocol.Error _, `Close -> Alcotest.failf "%s: error should keep the connection" label
   | Protocol.Ok _, _ -> Alcotest.failf "%s: expected an error reply" label
 
+let hello app = Protocol.Hello_v { app; version = Protocol.version }
+
 let test_server_frames () =
   let t = mini_server () in
   let conn = Server.Conn.create () in
-  expect_error "chunk before hello" (Server.Conn.handle t conn (Protocol.Chunk (Bytes.create 4)));
-  expect_error "flush before hello" (Server.Conn.handle t conn Protocol.Flush);
-  expect_error "unknown app" (Server.Conn.handle t conn (Protocol.Hello "nope"));
-  let json, _ = expect_ok "hello" (Server.Conn.handle t conn (Protocol.Hello "kafka")) in
+  expect_error "chunk before hello"
+    (Server.Conn.handle t conn (Protocol.Chunk_seq { seq = 0; data = Bytes.create 4 }));
+  expect_error "flush before hello" (Server.Conn.handle t conn (Protocol.Flush_seq { seq = 0 }));
+  expect_error "unknown app" (Server.Conn.handle t conn (hello "nope"));
+  let json, _ = expect_ok "hello" (Server.Conn.handle t conn (hello "kafka")) in
   checkb "hello returns status for the app" true
     (Json.member "app" json = Some (Json.String "kafka"));
   let _, data = Lazy.force clean_capture in
-  let json, _ = expect_ok "chunk" (Server.Conn.handle t conn (Protocol.Chunk data)) in
+  let json, _ =
+    expect_ok "chunk" (Server.Conn.handle t conn (Protocol.Chunk_seq { seq = 0; data }))
+  in
   (match Json.member "decoded" json with
   | Some (Json.Int n) -> checkb "chunk reports decoded blocks" true (n > 0)
   | _ -> Alcotest.fail "chunk reply lacks decoded count");
-  let json, _ = expect_ok "flush" (Server.Conn.handle t conn Protocol.Flush) in
+  let json, _ = expect_ok "flush" (Server.Conn.handle t conn (Protocol.Flush_seq { seq = 1 })) in
   checkb "flush reports a generation" true (Json.member "generations" json = Some (Json.Int 1));
   let _, disposition = expect_ok "bye" (Server.Conn.handle t conn Protocol.Bye) in
   checkb "bye closes" true (disposition = `Close)
@@ -383,18 +410,17 @@ let test_server_two_sessions () =
   let t = mini_server () in
   let a = Server.Conn.create () and b = Server.Conn.create () in
   let _, data = Lazy.force clean_capture in
-  ignore (expect_ok "hello a" (Server.Conn.handle t a (Protocol.Hello "kafka")));
-  ignore (expect_ok "hello b" (Server.Conn.handle t b (Protocol.Hello "zippy")));
+  ignore (expect_ok "hello a" (Server.Conn.handle t a (hello "kafka")));
+  ignore (expect_ok "hello b" (Server.Conn.handle t b (hello "zippy")));
   checki "two sessions registered" 2 (List.length (Server.sessions t));
   (* Interleave the two apps on the same daemon. *)
   let half = Bytes.length data / 2 in
-  ignore (expect_ok "a chunk" (Server.Conn.handle t a (Protocol.Chunk (Bytes.sub data 0 half))));
-  ignore (expect_ok "b chunk" (Server.Conn.handle t b (Protocol.Chunk data)));
-  ignore
-    (expect_ok "a chunk 2"
-       (Server.Conn.handle t a (Protocol.Chunk (Bytes.sub data half (Bytes.length data - half)))));
-  ignore (expect_ok "a flush" (Server.Conn.handle t a Protocol.Flush));
-  ignore (expect_ok "b flush" (Server.Conn.handle t b Protocol.Flush));
+  let chunk conn seq data = Server.Conn.handle t conn (Protocol.Chunk_seq { seq; data }) in
+  ignore (expect_ok "a chunk" (chunk a 0 (Bytes.sub data 0 half)));
+  ignore (expect_ok "b chunk" (chunk b 0 data));
+  ignore (expect_ok "a chunk 2" (chunk a 1 (Bytes.sub data half (Bytes.length data - half))));
+  ignore (expect_ok "a flush" (Server.Conn.handle t a (Protocol.Flush_seq { seq = 2 })));
+  ignore (expect_ok "b flush" (Server.Conn.handle t b (Protocol.Flush_seq { seq = 1 })));
   List.iter
     (fun name ->
       match Server.find_session t name with
@@ -404,7 +430,7 @@ let test_server_two_sessions () =
     [ "kafka"; "zippy" ];
   (* A second Hello for a known app rebinds to the same session. *)
   let c = Server.Conn.create () in
-  ignore (expect_ok "hello c" (Server.Conn.handle t c (Protocol.Hello "kafka")));
+  ignore (expect_ok "hello c" (Server.Conn.handle t c (hello "kafka")));
   checki "no duplicate session" 2 (List.length (Server.sessions t))
 
 (* The live scrape carries the complete pinned vocabulary: pipeline
@@ -414,9 +440,9 @@ let test_server_scrape_schema () =
   let t = mini_server () in
   let conn = Server.Conn.create () in
   let _, data = Lazy.force clean_capture in
-  ignore (expect_ok "hello" (Server.Conn.handle t conn (Protocol.Hello "kafka")));
-  ignore (expect_ok "chunk" (Server.Conn.handle t conn (Protocol.Chunk data)));
-  ignore (expect_ok "flush" (Server.Conn.handle t conn Protocol.Flush));
+  ignore (expect_ok "hello" (Server.Conn.handle t conn (hello "kafka")));
+  ignore (expect_ok "chunk" (Server.Conn.handle t conn (Protocol.Chunk_seq { seq = 0; data })));
+  ignore (expect_ok "flush" (Server.Conn.handle t conn (Protocol.Flush_seq { seq = 1 })));
   let type_lines =
     List.filter_map
       (fun line ->
@@ -572,17 +598,13 @@ let test_seq_overflow_rejected () =
 
 let frames_equal a b =
   match (a, b) with
-  | Protocol.Hello x, Protocol.Hello y -> x = y
   | ( Protocol.Hello_v { app = a1; version = v1 },
       Protocol.Hello_v { app = a2; version = v2 } ) ->
     a1 = a2 && v1 = v2
-  | Protocol.Chunk x, Protocol.Chunk y -> Bytes.equal x y
   | ( Protocol.Chunk_seq { seq = s1; data = d1 },
       Protocol.Chunk_seq { seq = s2; data = d2 } ) ->
     s1 = s2 && Bytes.equal d1 d2
-  | Protocol.Flush, Protocol.Flush | Protocol.Status, Protocol.Status | Protocol.Bye, Protocol.Bye
-    ->
-    true
+  | Protocol.Status, Protocol.Status | Protocol.Bye, Protocol.Bye -> true
   | Protocol.Flush_seq { seq = s1 }, Protocol.Flush_seq { seq = s2 } -> s1 = s2
   | _ -> false
 
@@ -590,10 +612,12 @@ let test_protocol_v2_roundtrip () =
   let frames =
     [
       Protocol.Hello_v { app = "kafka"; version = 2 };
-      Protocol.Chunk_seq { seq = 0; data = Bytes.of_string "\x01\x02" };
+      Protocol.Chunk_seq { seq = 0; data = Bytes.of_string "\x00\x01\x02\xff" };
       Protocol.Chunk_seq { seq = 0xFFFF; data = Bytes.empty };
       Protocol.Flush_seq { seq = 3 };
+      Protocol.Status;
       Protocol.Hello_v { app = ""; version = 250 };
+      Protocol.Bye;
     ]
   in
   let buf = Buffer.create 128 in
@@ -610,9 +634,9 @@ let test_protocol_v2_roundtrip () =
       | `Awaiting -> ()
       | `Corrupt msg -> Alcotest.failf "unexpected corrupt: %s" msg)
     wire;
-  checki "all v2 frames recovered" (List.length frames) (List.length !got);
+  checki "all frames recovered" (List.length frames) (List.length !got);
   List.iter2
-    (fun sent got -> checkb "v2 frame round-trips" true (frames_equal sent got))
+    (fun sent got -> checkb "frame round-trips" true (frames_equal sent got))
     frames (List.rev !got)
 
 (* Torn and duplicated frames through the net-fault planner: tearing
@@ -688,14 +712,6 @@ let rec rm_rf path =
     (try Unix.rmdir path with Unix.Unix_error _ -> ())
   | _ -> ( try Sys.remove path with Sys_error _ -> ())
 
-(* The kafka fixture captures to ~1.1 KB, so split small: the
-   mid-capture window must hold several chunks for half-pushed state to
-   mean anything. *)
-let chunks_of ?(chunk = 97) data =
-  let len = Bytes.length data in
-  let n = (len + chunk - 1) / chunk in
-  List.init n (fun i -> Bytes.sub data (i * chunk) (min chunk (len - (i * chunk))))
-
 (* Status comparison strips nothing: every field — profile digest,
    ladder level, counters, sequence horizon — must match. *)
 let check_status_equal label control live =
@@ -765,6 +781,10 @@ let test_server_v2_frames () =
   let t = mini_server () in
   let conn = Server.Conn.create () in
   let _, data = Lazy.force clean_capture in
+  (match Server.Conn.handle t conn (Protocol.Hello_v { app = "kafka"; version = 1 }) with
+  | Protocol.Error msg, `Keep -> checks "old version refused" "unsupported protocol version 1" msg
+  | _ -> Alcotest.fail "a version-1 hello must be refused");
+  checki "refused hello registers no session" 0 (List.length (Server.sessions t));
   let json, _ =
     expect_ok "hello_v" (Server.Conn.handle t conn (Protocol.Hello_v { app = "kafka"; version = 9 }))
   in
@@ -811,14 +831,52 @@ let test_server_overload () =
       }
   in
   let a = Server.Conn.create () and b = Server.Conn.create () in
-  ignore (expect_ok "first app" (Server.Conn.handle t a (Protocol.Hello "kafka")));
-  (match Server.Conn.handle t b (Protocol.Hello "zippy") with
+  ignore (expect_ok "first app" (Server.Conn.handle t a (hello "kafka")));
+  (match Server.Conn.handle t b (hello "zippy") with
   | Protocol.Error "overloaded", `Keep -> ()
   | Protocol.Error msg, _ -> Alcotest.failf "expected overloaded, got %s" msg
   | Protocol.Ok _, _ -> Alcotest.fail "session past max-sessions must be refused");
   (* A re-hello to the existing session still works at the cap. *)
-  ignore (expect_ok "rebind" (Server.Conn.handle t b (Protocol.Hello "kafka")));
+  ignore (expect_ok "rebind" (Server.Conn.handle t b (hello "kafka")));
   checki "one session registered" 1 (List.length (Server.sessions t))
+
+(* A loopback port nobody listens on: bound, then released. *)
+let released_port () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  let port =
+    match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | Unix.ADDR_UNIX _ -> assert false
+  in
+  Unix.close fd;
+  port
+
+(* Bad counts are refused up front, before any connection is tried. *)
+let test_push_rejects_bad_arguments () =
+  let port = released_port () in
+  let _, data = Lazy.force clean_capture in
+  List.iter
+    (fun (attempts, chunk, msg) ->
+      Alcotest.check_raises
+        (Printf.sprintf "attempts %d, chunk %d" attempts chunk)
+        (Invalid_argument ("Client.push_with_retries: " ^ msg))
+        (fun () ->
+          ignore
+            (Client.push_with_retries ~attempts ~chunk ~host:"127.0.0.1" ~port ~app:"kafka" data
+              : (Client.push_result, string) result)))
+    [
+      (0, 4096, "attempts must be positive");
+      (1, 0, "chunk must be positive");
+      (1, -5, "chunk must be positive");
+    ]
+
+let test_scrape_closes_socket () =
+  let port = released_port () in
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = open_fds () in
+  for _ = 1 to 10 do
+    try ignore (Client.scrape ~host:"127.0.0.1" ~port : string) with Unix.Unix_error _ -> ()
+  done;
+  checki "failed scrapes leave no socket open" before (open_fds ())
 
 (* The end-to-end kill -9 / restart / resume acceptance test lives in
    its own executable (test_recover.ml): it forks real daemon
@@ -859,5 +917,7 @@ let suites =
         Alcotest.test_case "session persistence across restore" `Slow test_session_persistence;
         Alcotest.test_case "server v2 frame handling" `Slow test_server_v2_frames;
         Alcotest.test_case "server session overload" `Slow test_server_overload;
+        Alcotest.test_case "push rejects bad arguments" `Quick test_push_rejects_bad_arguments;
+        Alcotest.test_case "scrape closes its socket on failure" `Quick test_scrape_closes_socket;
       ] );
   ]

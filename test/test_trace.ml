@@ -172,12 +172,12 @@ let test_bb_trace_demand_stream () =
     List.length (Basic_block.lines (Program.block program entry))
     + List.length (Basic_block.lines (Program.block program left))
   in
-  checki "stream length" expected (Ripple_trace.Access_stream.length stream);
-  Ripple_trace.Access_stream.iter
+  checki "stream length" expected (Ripple_cache.Access_stream.length stream);
+  Ripple_cache.Access_stream.iter
     (fun acc -> checkb "all demand" true (Ripple_cache.Access.packed_is_demand acc))
     stream;
   checki "first access block" entry
-    (Ripple_cache.Access.packed_block (Ripple_trace.Access_stream.get stream 0))
+    (Ripple_cache.Access.packed_block (Ripple_cache.Access_stream.get stream 0))
 
 let test_bb_trace_kernel_fraction () =
   let b = Builder.create () in
