@@ -27,6 +27,18 @@
     times; paths are pruned once they saturate the set's associativity
     or cross another hint on the same line.
 
+    Redundancy's all-paths fact is the complement of one forward
+    may-reachability per distinct hinted line: from the roots and from
+    just after every unhinted block that references the line, stopping
+    at blocks that hint it, and ending once every hinting block has
+    been reached (only those are ever asked).  The successor, line,
+    line → referencing-blocks and line → hinting-blocks tables are
+    built once per {!classify} call, and not at all for a program
+    without hints; the harmful search and the dominating-witness lookup
+    read the same tables and share one generation-stamped scratch
+    array, so a call allocates nothing per hint beyond its search
+    queue.
+
     Return edges are {e not} modelled (see {!Cfg}): reuse that flows
     through a function return is governed by the profile's conditional
     probability, which is exactly the evidence the injector already

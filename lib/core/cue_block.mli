@@ -14,7 +14,16 @@
     and [step_limit] stream entries per window: candidates that signal an
     eviction reliably execute close to the eviction point, and the bound
     keeps the analysis linear in the trace — the same engineering the
-    paper's "up to 10 minutes" offline analysis implies. *)
+    paper's "up to 10 minutes" offline analysis implies.
+
+    The stream is walked once: each window's distinct candidates are
+    recorded in visit order into one flat array (deduped by stamping a
+    block-id array with the window number), (victim, block) window
+    counts go into an open-addressed int table, and the scoring pass
+    reads the recorded candidates back.  Decision order is the fold
+    order of a [Hashtbl] filled in window order; it is kept because
+    {!Injector.inject}'s stable per-block sort turns it into hint order
+    on probability ties. *)
 
 module Addr := Ripple_isa.Addr
 module Access_stream := Ripple_cache.Access_stream

@@ -55,18 +55,15 @@ let inject ?(mode = Invalidate) ?(skip_jit = true) ?(max_hints_per_block = defau
       end)
     victim_lines;
   let as_hint line = match mode with Invalidate -> Basic_block.Invalidate line | Demote -> Basic_block.Demote line in
-  (* First layout pass with old-layout operands: hint counts fix the new
-     layout, which yields the remap; then re-express operands in the new
-     layout and lay out again (identical geometry). *)
-  let hints_old = Array.map (List.map as_hint) victim_lines in
-  let provisional, remap = Program.with_hints program ~hints:hints_old in
-  let remap_line line = Addr.line_of (remap (Addr.base_of_line line)) in
-  let hints_new = Array.map (List.map (fun line -> as_hint (remap_line line))) victim_lines in
-  let instrumented, _ = Program.with_hints program ~hints:hints_new in
-  assert (Program.static_bytes provisional = Program.static_bytes instrumented);
+  (* Injection is layout-preserving (Program.with_hints): hints sit in
+     the padding after their block, so the victim lines the profile
+     named are already the operands of the instrumented layout and one
+     rewrite suffices. *)
+  let instrumented, remap =
+    Program.with_hints program ~hints:(Array.map (List.map as_hint) victim_lines)
+  in
   (* Provenance, in injection order (block id, then the within-block
-     probability-descending order the hints were materialised in), with
-     operands expressed in the final layout. *)
+     probability-descending order the hints were materialised in). *)
   let placements =
     List.concat
       (Array.to_list
@@ -76,7 +73,7 @@ let inject ?(mode = Invalidate) ?(skip_jit = true) ?(max_hints_per_block = defau
                 (fun (d : Cue_block.decision) ->
                   {
                     block;
-                    line = remap_line d.Cue_block.victim;
+                    line = d.Cue_block.victim;
                     probability = d.Cue_block.probability;
                     windows = d.Cue_block.windows;
                   })

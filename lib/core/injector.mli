@@ -1,10 +1,12 @@
 (** Link-time hint injection (§III-C).
 
     Materialises cue-block decisions as [invalidate] (or [demote])
-    instructions appended to their cue blocks.  Injection grows the
-    binary, so the program is relaid out — exactly what happens at link
-    time — and every victim-line operand is re-expressed in the final
-    layout using the old→new address remap.  Blocks flagged as JIT code
+    instructions appended to their cue blocks, in one
+    {!Ripple_isa.Program.with_hints} rewrite.  Injection is modelled as
+    layout-preserving (the hints sit in the padding after their block),
+    so the victim lines the profile named are already the operands of
+    the instrumented layout and the returned remap is the identity.
+    Blocks flagged as JIT code
     are skipped by default: their instruction addresses are not stable
     across executions, the reason the HHVM applications cap below 50 %
     coverage in Fig. 9. *)
@@ -19,7 +21,7 @@ type mode = Invalidate | Demote
     ({!Ripple_analysis.Lint}) quotes when it flags a hint: [probability]
     is the selected conditional probability P(evict victim | exec
     block), [windows] the eviction-window support behind it.  [line] is
-    the final (post-remap) operand, matching the instrumented binary. *)
+    the operand as written into the instrumented binary. *)
 type placement = {
   block : int;
   line : Addr.line;

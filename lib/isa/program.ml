@@ -2,7 +2,10 @@ type t = {
   entry : int;
   blocks : Basic_block.t array;
   aligned : bool array;
-  sorted_by_addr : Basic_block.t array; (* for block_at lookups *)
+  by_addr : int array;
+      (* block ids in address order, for block_at lookups; computed once
+         in [v] and shared by [with_hints] and [relocate], which keep
+         every block's address or shift them all alike *)
 }
 
 let user_base = 0x400000
@@ -30,17 +33,17 @@ let layout blocks aligned =
       { b with Basic_block.addr })
     blocks
 
-let sort_by_addr blocks =
-  let copy = Array.copy blocks in
-  Array.sort (fun (a : Basic_block.t) b -> compare a.Basic_block.addr b.Basic_block.addr) copy;
-  copy
+let sort_by_addr (blocks : Basic_block.t array) =
+  let ids = Array.init (Array.length blocks) Fun.id in
+  Array.sort (fun a b -> compare blocks.(a).Basic_block.addr blocks.(b).Basic_block.addr) ids;
+  ids
 
 let v ~entry blocks ~aligned =
   assert (Array.length blocks = Array.length aligned);
   Array.iteri (fun i (b : Basic_block.t) -> assert (b.Basic_block.id = i)) blocks;
   assert (entry >= 0 && entry < Array.length blocks);
   let blocks = layout blocks aligned in
-  { entry; blocks; aligned; sorted_by_addr = sort_by_addr blocks }
+  { entry; blocks; aligned; by_addr = sort_by_addr blocks }
 
 let entry t = t.entry
 let n_blocks t = Array.length t.blocks
@@ -50,20 +53,20 @@ let aligned t = Array.copy t.aligned
 let iter f t = Array.iter f t.blocks
 
 let block_at t addr =
-  let a = t.sorted_by_addr in
+  let a = t.by_addr in
   let n = Array.length a in
   (* Greatest block with start <= addr, then check containment. *)
   let rec search lo hi =
     if lo >= hi then lo - 1
     else begin
       let mid = (lo + hi) / 2 in
-      if a.(mid).Basic_block.addr <= addr then search (mid + 1) hi else search lo mid
+      if t.blocks.(a.(mid)).Basic_block.addr <= addr then search (mid + 1) hi else search lo mid
     end
   in
   let i = search 0 n in
   if i < 0 then None
   else begin
-    let b = a.(i) in
+    let b = t.blocks.(a.(i)) in
     if addr < b.Basic_block.addr + b.Basic_block.bytes then Some b else None
   end
 
@@ -90,8 +93,7 @@ let with_hints t ~hints =
   (* Injection is layout-preserving: hints are modelled as occupying the
      padding that follows their block (Basic_block.lines), so addresses
      are unchanged and the remap is the identity. *)
-  let p = { t with blocks = rewritten; sorted_by_addr = sort_by_addr rewritten } in
-  (p, fun addr -> addr)
+  ({ t with blocks = rewritten }, fun addr -> addr)
 
 (* FNV-1a over everything injection coordinates depend on: block count,
    entry, and each block's address/size/shape.  Hints are deliberately
@@ -132,7 +134,7 @@ let relocate t ~line_shift =
         { b with Basic_block.addr })
       t.blocks
   in
-  { t with blocks; sorted_by_addr = sort_by_addr blocks }
+  { t with blocks }
 
 let pp_summary fmt t =
   Format.fprintf fmt "@[program: %d blocks, %d bytes, %d instrs, %d hint(s), %d lines@]"

@@ -522,6 +522,121 @@ let test_nine_apps_no_errors () =
           got)
     W.Apps.all
 
+(* At 100 k instructions (above) the nine apps place only 35 hints and
+   five place none, so that run barely exercises the classifier.  At
+   300 k under default options they place 2318: per app, the MD5 of
+   (a) [classify]'s sites with their verdicts and witnesses, (b) the
+   instrumented program's per-block hint arrays and (c)
+   [injection.placements] in order. *)
+let nine_app_300k_digests =
+  [
+    ( "cassandra",
+      ( "d7685896a2425c5c1df062603027318c",
+        "fad0ce38a4c7bbe88d7bde0c209f7f37",
+        "c6d816efaba1892d4eb328cbdcba4449" ) );
+    ( "drupal",
+      ( "ad83744bc1abfe338b0b268275e6bb8a",
+        "bd5d4110b29f93db481f102c585ad81b",
+        "c85abd8a873156ef286bd2e891a9beca" ) );
+    ( "finagle-chirper",
+      ( "354131cdd90e8e285fa240a8bf92049b",
+        "9f37eb3d765d8a80c21fdab5d8c7e7b5",
+        "01b04a09d18cf771c200d772a85dbfa8" ) );
+    ( "finagle-http",
+      ( "8b75fb6e0ced47d8c98d508fb2193c5b",
+        "91af4c30a412e39dde08ce6cb92d0726",
+        "65c1f8f0a60dcbfb5cc9c512c0cf6d28" ) );
+    ( "kafka",
+      ( "c9d2b6718cd240179932a611460ac401",
+        "0ff67e839c6dfcb0ae784f347ebbfcfc",
+        "5b068c559e9196d7ab029bbf6948f145" ) );
+    ( "mediawiki",
+      ( "85bda336a3664027ef82838afe70aa38",
+        "0743b18a14f035cedf37ba0aaa304551",
+        "0a96778ffb8f792cb82c6a48a49eaa7e" ) );
+    ( "tomcat",
+      ( "637e5de4f1114c8961362578b11e9d8b",
+        "218261686fab0a78db5364b1453d7074",
+        "cabb675a98d4e4b968ed3a3137251769" ) );
+    ( "verilator",
+      ( "81d3179cfabf19e3e8fdb0cf6f111b02",
+        "c5910a84c4e30c5a945c68b1e19e9e77",
+        "70a10df23c66c90f78cc241ca98b884f" ) );
+    ( "wordpress",
+      ( "0f9630c059f35616c1e666061bb6fb6c",
+        "8fc109958795325d13da6d13c748efd3",
+        "2f5070e72bd9a0c3cdc919660ba069f3" ) );
+  ]
+
+let test_nine_apps_300k_pin () =
+  let totals = Hashtbl.create 4 in
+  let total cls = Option.value ~default:0 (Hashtbl.find_opt totals cls) in
+  List.iter
+    (fun (m : W.App_model.t) ->
+      let name = m.W.App_model.name in
+      let w = W.Cfg_gen.generate m in
+      let profile = W.Executor.run w ~input:W.Executor.train ~n_instrs:300_000 in
+      let outcome =
+        Pipeline.run Pipeline.Options.default ~source:w.W.Cfg_gen.program
+          (Pipeline.Trace profile)
+      in
+      let program = outcome.Pipeline.program in
+      let geometry = Pipeline.Options.default.Pipeline.Options.config.Ripple_cpu.Config.l1i in
+      let classified =
+        Icheck.classify ~geometry ~entry:(Program.entry program) (Program.blocks program)
+      in
+      let digest f =
+        let buf = Buffer.create 4096 in
+        f buf;
+        Digest.to_hex (Digest.string (Buffer.contents buf))
+      in
+      let sites =
+        digest (fun buf ->
+            List.iter
+              (fun ((s : Icheck.site), c) ->
+                let cls = Icheck.classification_name c in
+                Hashtbl.replace totals cls (1 + total cls);
+                Printf.bprintf buf "%d %d %d %b %s" s.Icheck.block s.Icheck.index s.Icheck.line
+                  s.Icheck.demote cls;
+                (match c with
+                | Icheck.Harmful { reuse_block; conflicts } ->
+                  Printf.bprintf buf " %d %d" reuse_block conflicts
+                | Icheck.Redundant { earlier } -> Printf.bprintf buf " %d" earlier
+                | Icheck.Safe_dead | Icheck.Safe_pressure -> ());
+                Buffer.add_char buf '\n')
+              classified)
+      in
+      let hints =
+        digest (fun buf ->
+            Program.iter
+              (fun (b : Basic_block.t) ->
+                Printf.bprintf buf "%d:" b.Basic_block.id;
+                Array.iter
+                  (function
+                    | Basic_block.Invalidate l -> Printf.bprintf buf " i%d" l
+                    | Basic_block.Demote l -> Printf.bprintf buf " d%d" l)
+                  b.Basic_block.hints;
+                Buffer.add_char buf '\n')
+              program)
+      in
+      let placements =
+        digest (fun buf ->
+            List.iter
+              (fun (p : Injector.placement) ->
+                Printf.bprintf buf "%d %d %h %d\n" p.Injector.block p.Injector.line
+                  p.Injector.probability p.Injector.windows)
+              outcome.Pipeline.analysis.Pipeline.injection.Injector.placements)
+      in
+      let want_sites, want_hints, want_placements = List.assoc name nine_app_300k_digests in
+      check Alcotest.string (name ^ ": classify digest") want_sites sites;
+      check Alcotest.string (name ^ ": hint arrays digest") want_hints hints;
+      check Alcotest.string (name ^ ": placements digest") want_placements placements)
+    W.Apps.all;
+  checki "safe_dead sites" 2230 (total "safe_dead");
+  checki "safe_pressure sites" 0 (total "safe_pressure");
+  checki "harmful sites" 65 (total "harmful");
+  checki "redundant sites" 23 (total "redundant")
+
 (* ----------------- satellite: cue-block drop report ----------------- *)
 
 (* The Fig. 5 scenario from test_core: victim line 100 evicted twice,
@@ -1011,6 +1126,72 @@ let prop_abs_matches_reference =
         ];
       true)
 
+(* The classifier's per-line reachability tables against the dense
+   reference it replaced, on the same dense-hint programs and the
+   same three geometries as the abstract-cache property. *)
+let prop_classify_matches_reference =
+  QCheck.Test.make ~count:200 ~name:"classifications equal the dense reference"
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let program = with_dense_hints seed (tiny_program seed) in
+      let blocks = Program.blocks program in
+      let entry = Program.entry program in
+      List.iter
+        (fun geometry ->
+          let got = Icheck.classify ~geometry ~entry blocks in
+          let want = Invalidation_check_ref.classify ~geometry ~entry blocks in
+          if got <> want then
+            QCheck.Test.fail_reportf "%d-way x %d sets: classifications differ"
+              geometry.Geometry.ways (Geometry.sets geometry))
+        [
+          tiny_geometry;
+          Geometry.v ~size_bytes:(4 * 8 * Addr.line_size) ~ways:4;
+          Geometry.l1i;
+        ];
+      true)
+
+(* Cue selection against the two-walk reference on random streams over
+   a small block alphabet, so blocks repeat inside windows (the
+   per-window dedupe), pairs recur across windows (support) and small
+   counts over small execution counts tie on probability; scan and
+   step limits small enough to cut windows short. *)
+let prop_cue_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let* len = int_range 1 120 in
+      let* stream =
+        array_repeat len
+          (let* block = int_range 0 7 and* line = int_range 0 5 and* prefetch = int_range 0 5 in
+           return
+             (if prefetch = 0 then Access.prefetch ~line ~block
+              else Access.demand ~line ~block))
+      in
+      let* windows =
+        array_size (int_range 0 40)
+          (let* victim = int_range 0 3 and* start = int_range 0 (len - 1) in
+           let* stop = int_range start (len - 1) in
+           return { Eviction_window.victim; start; stop })
+      in
+      let* exec_counts = array_repeat 8 (int_range 0 6) in
+      let* scan_limit = int_range 1 8 and* step_limit = int_range 1 12 in
+      let* min_support = int_range 1 3 in
+      let* threshold = oneofl [ 0.0; 0.25; 0.5; 1.0 ] in
+      return (stream, windows, exec_counts, scan_limit, step_limit, min_support, threshold))
+  in
+  QCheck.Test.make ~count:500 ~name:"cue decisions and drops equal the two-walk reference"
+    (QCheck.make gen)
+    (fun (stream, windows, exec_counts, scan_limit, step_limit, min_support, threshold) ->
+      let stream = Ripple_cache.Access_stream.of_array stream in
+      let got =
+        Cue_block.analyze_report ~scan_limit ~step_limit ~min_support ~stream ~windows
+          ~exec_counts ~threshold ()
+      in
+      let want =
+        Cue_block_ref.analyze_report ~scan_limit ~step_limit ~min_support ~stream ~windows
+          ~exec_counts ~threshold ()
+      in
+      got = want)
+
 (* -------------- nine apps: static bounds bracket reality ------------- *)
 
 let test_nine_apps_bounds_bracket () =
@@ -1141,6 +1322,7 @@ let suites =
           test_classify_reference_defeats_redundancy;
         Alcotest.test_case "prunes at re-invalidation" `Quick
           test_classify_prunes_at_reinvalidation;
+        QCheck_alcotest.to_alcotest prop_classify_matches_reference;
       ] );
     ( "analysis.lint",
       [
@@ -1150,6 +1332,8 @@ let suites =
         Alcotest.test_case "json shape" `Quick test_lint_json;
         Alcotest.test_case "nine apps, paper defaults: no errors" `Slow
           test_nine_apps_no_errors;
+        Alcotest.test_case "nine apps at 300k: classify, hints, placements pinned" `Slow
+          test_nine_apps_300k_pin;
       ]
       @ List.map QCheck_alcotest.to_alcotest
           [ prop_mutation_dangling; prop_mutation_overlap; prop_mutation_orphan ] );
@@ -1160,6 +1344,7 @@ let suites =
           test_drop_report_agrees_with_analyze;
         Alcotest.test_case "injector placements" `Quick test_injector_placements;
         Alcotest.test_case "pipeline verify gate" `Quick test_pipeline_verify_gate;
+        QCheck_alcotest.to_alcotest prop_cue_matches_reference;
       ] );
     ( "analysis.fixpoint",
       [

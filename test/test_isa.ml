@@ -180,6 +180,50 @@ let test_program_with_hints () =
   (* The original program is untouched. *)
   checki "original keeps no hints" 0 (Program.static_hints program)
 
+(* [with_hints] and [relocate] share the address order [Program.v]
+   computed, so [block_at] must still resolve to the rewritten block
+   records: the one carrying the hints, and the shifted one.  Kernel
+   and user blocks interleave by id, so address order is not id
+   order. *)
+let test_program_block_at_after_rewrite () =
+  let b = Builder.create () in
+  let u0 = Builder.block b ~bytes:40 ~term:Basic_block.Halt () in
+  let k0 = Builder.block b ~privilege:Basic_block.Kernel ~bytes:24 ~term:Basic_block.Halt () in
+  let u1 = Builder.block b ~bytes:72 ~term:Basic_block.Halt () in
+  let k1 = Builder.block b ~privilege:Basic_block.Kernel ~bytes:8 ~term:Basic_block.Halt () in
+  Builder.set_term b u0 (Basic_block.Call { callee = k0; return_to = u1 });
+  Builder.set_term b k0 (Basic_block.Jump k1);
+  Builder.set_term b k1 Basic_block.Return;
+  let program = Builder.finish b ~entry:u0 in
+  let hints = Array.make (Program.n_blocks program) [] in
+  hints.(u1) <- [ Basic_block.Invalidate 7 ];
+  hints.(k1) <- [ Basic_block.Demote 9; Basic_block.Invalidate 11 ];
+  let instrumented, _ = Program.with_hints program ~hints in
+  List.iter
+    (fun id ->
+      let blk = Program.block instrumented id in
+      match Program.block_at instrumented (blk.Basic_block.addr + blk.Basic_block.bytes - 1) with
+      | Some found ->
+        checki "found by address" id found.Basic_block.id;
+        checkb "the record carrying the hints" true (found == blk);
+        checki "hint count" (List.length hints.(id)) (Array.length found.Basic_block.hints)
+      | None -> Alcotest.fail "not found")
+    [ u0; k0; u1; k1 ];
+  let shifted = Program.relocate instrumented ~line_shift:3 in
+  let delta = 3 * Addr.line_size in
+  List.iter
+    (fun id ->
+      let old_addr = (Program.block instrumented id).Basic_block.addr in
+      match Program.block_at shifted (old_addr + delta) with
+      | Some found ->
+        checki "shifted block found" id found.Basic_block.id;
+        checki "at its shifted address" (old_addr + delta) found.Basic_block.addr;
+        checkb "the relocated record" true (found == Program.block shifted id)
+      | None -> Alcotest.fail "shifted block not found")
+    [ u0; k0; u1; k1 ];
+  checkb "old start of the first user block is unmapped" true
+    (Program.block_at shifted (Program.block instrumented u0).Basic_block.addr = None)
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suites =
@@ -209,5 +253,7 @@ let suites =
         Alcotest.test_case "block_at" `Quick test_program_block_at;
         Alcotest.test_case "statics" `Quick test_program_statics;
         Alcotest.test_case "with_hints" `Quick test_program_with_hints;
+        Alcotest.test_case "block_at after with_hints and relocate" `Quick
+          test_program_block_at_after_rewrite;
       ] );
   ]
