@@ -520,10 +520,11 @@ let serve_cmd =
           ~doc:"OpenMetrics scrape port (0 picks an ephemeral one).")
   in
   let window_arg =
-    Arg.(
-      value
-      & opt int 400_000
-      & info [ "window" ] ~docv:"BLOCKS" ~doc:"Rolling-profile capacity per app, in blocks.")
+    Cli_args.positive "--window"
+      Arg.(
+        value
+        & opt int 400_000
+        & info [ "window" ] ~docv:"BLOCKS" ~doc:"Rolling-profile capacity per app, in blocks.")
   in
   let reemit_arg =
     Arg.(
@@ -542,16 +543,6 @@ let serve_cmd =
           ~doc:
             "Write \"<port> <metrics-port>\" to $(docv) once both listeners are bound — the \
              startup handshake for scripts driving ephemeral ports.")
-  in
-  let proven_safe_flag =
-    Arg.(
-      value
-      & flag
-      & info [ "proven-safe" ]
-          ~doc:
-            "Harden the degradation ladder's safe-only rung: keep only hints the abstract \
-             cache analysis positively proves safe, instead of merely stripping the ones the \
-             path-search classifier flags.")
   in
   let state_dir_arg =
     Arg.(
@@ -584,8 +575,8 @@ let serve_cmd =
       & info [ "idle-timeout" ] ~docv:"SECONDS"
           ~doc:"Reap connections silent for $(docv) seconds (0 disables the deadline).")
   in
-  let run host port metrics_port window reemit_every threshold prefetch backing proven_safe
-      ready_file state_dir max_conns max_sessions idle_timeout =
+  let run host port metrics_port window reemit_every threshold prefetch backing ready_file
+      state_dir max_conns max_sessions idle_timeout =
     let config =
       {
         Server.default_config with
@@ -594,15 +585,7 @@ let serve_cmd =
         metrics_port;
         window;
         reemit_every;
-        options =
-          {
-            Pipeline.Options.default with
-            degrade = true;
-            proven_safe;
-            threshold;
-            prefetch;
-            backing;
-          };
+        options = { Pipeline.Options.default with degrade = true; threshold; prefetch; backing };
         ready_file;
         state_dir;
         max_conns;
@@ -627,9 +610,8 @@ let serve_cmd =
           file, exit 0).")
     Term.(
       const run $ host_arg $ port_arg $ metrics_port_arg $ window_arg $ reemit_arg
-      $ Cli_args.threshold_arg $ Cli_args.prefetch_arg $ Cli_args.backing_arg
-      $ proven_safe_flag $ ready_file_arg $ state_dir_arg $ max_conns_arg $ max_sessions_arg
-      $ idle_timeout_arg)
+      $ Cli_args.threshold_arg $ Cli_args.prefetch_arg $ Cli_args.backing_arg $ ready_file_arg
+      $ state_dir_arg $ max_conns_arg $ max_sessions_arg $ idle_timeout_arg)
 
 (* ------------------------------- push ------------------------------- *)
 

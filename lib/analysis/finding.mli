@@ -20,12 +20,11 @@ module Addr := Ripple_isa.Addr
 
 type severity = Info | Warning | Error
 
-val severity_name : severity -> string
 val severity_rank : severity -> int
 (** [Info] < [Warning] < [Error]; used for exit codes and sorting. *)
 
 (** Machine-stable defect codes.  The constructor name doubles as the
-    JSON [code] field (lower-snake-case via {!code_name}). *)
+    JSON [code] field, in lower snake case. *)
 type code =
   | Entry_out_of_range
   | Id_mismatch
@@ -43,8 +42,6 @@ type code =
       (** the path-search classifier and the abstract-interpretation
           proofs contradict each other on one hint — one of them is
           unsound, so the result cannot be trusted *)
-
-val code_name : code -> string
 
 type t = {
   severity : severity;

@@ -269,13 +269,6 @@ let classify ~geometry ~entry blocks =
            (site, classification))
          sites)
 
-let classify_proved ~geometry ~entry blocks =
-  let classified = classify ~geometry ~entry blocks in
-  let abs = Abs_cache.analyze ~geometry ~entry blocks in
-  List.map
-    (fun (s, c) -> (s, c, Abs_cache.prove abs ~block:s.block ~index:s.index))
-    classified
-
 let disagreement c (v : Abs_cache.verdict) =
   match (c, v) with
   | Harmful _, (Abs_cache.Proved_dead | Abs_cache.Proved_pressure) -> true

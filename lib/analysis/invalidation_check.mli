@@ -72,19 +72,6 @@ val classify : geometry:Geometry.t -> entry:int -> Basic_block.t array -> (site 
     associativity of the target I-cache.  Requires a structurally valid
     program (run {!Cfg.check} first). *)
 
-val classify_proved :
-  geometry:Geometry.t ->
-  entry:int ->
-  Basic_block.t array ->
-  (site * classification * Abs_cache.verdict) list
-(** {!classify}, with each site additionally judged by the
-    abstract-interpretation proofs of {!Abs_cache} (one shared
-    {!Abs_cache.analyze} per call).  The two classifiers reason over
-    different path sets — this one over the bare flow graph, the
-    abstract one over the return-closed graph — so the abstract verdict
-    can be strictly more conservative; genuinely contradictory pairs
-    are the {!Lint} cross-check's business. *)
-
 val disagreement : classification -> Abs_cache.verdict -> bool
 (** The cross-check tripwire.  Two pairs count as disagreement:
     [Proved_dead]/[Proved_pressure] against a [Harmful] path witness —

@@ -51,5 +51,3 @@ let packed_kind p = if packed_is_demand p then Demand else Prefetch
 let unpack p =
   let line = packed_line p and block = packed_block p in
   { line; kind = packed_kind p; pc = line; block }
-
-let pp_packed fmt p = pp fmt (unpack p)

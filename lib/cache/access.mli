@@ -44,17 +44,12 @@ val pp : Format.formatter -> t -> unit
     [pc] is not stored: both constructors above pin [pc = line] (the
     paper's one-PC-one-line observation, §II-D), so it is recomputed on
     unpacking.  Packing is exact for every value the constructors can
-    build; [pack]/[unpack] round-trip. *)
+    build; [pack]/[unpack] round-trip.  The packers raise
+    [Invalid_argument] for a line above [2^40 - 1] (ample for the
+    simulated address space, {!Ripple_isa.Addr}) or a block id outside
+    [-1 .. 2^22 - 2] (the bound {!Ripple_core.Cue_block} assumes). *)
 
 type packed = int
-
-val max_packed_line : int
-(** Largest packable line number, [2^40 - 1] — ample for the simulated
-    address space ({!Ripple_isa.Addr}). *)
-
-val max_packed_block : int
-(** Largest packable block id, [2^22 - 2] (the same bound
-    {!Ripple_core.Cue_block} assumes); [-1] is also packable. *)
 
 val pack_demand : line:Addr.line -> block:int -> packed
 val pack_prefetch : line:Addr.line -> block:int -> packed
@@ -64,8 +59,5 @@ val unpack : packed -> t
 val packed_line : packed -> Addr.line
 val packed_pc : packed -> int
 val packed_block : packed -> int
-val packed_kind : packed -> kind
 val packed_is_demand : packed -> bool
 val packed_is_prefetch : packed -> bool
-
-val pp_packed : Format.formatter -> packed -> unit

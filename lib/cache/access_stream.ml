@@ -18,8 +18,6 @@ let get t i =
          (Int_stream.length t));
   Int_stream.unsafe_get t i
 
-let get_access t i = Access.unpack (get t i)
-
 let iter = Int_stream.iter
 let iteri = Int_stream.iteri
 let iteri_rev = Int_stream.iteri_rev
@@ -29,7 +27,6 @@ let is_spill = Int_stream.is_spill
 let byte_size = Int_stream.byte_size
 let close = Int_stream.close
 let raw t = t
-let of_raw t = t
 
 module Builder = struct
   type _stream = t
@@ -39,8 +36,6 @@ module Builder = struct
   let length = Int_stream.Builder.length
   let add = Int_stream.Builder.add
   let add_access b acc = add b (Access.pack acc)
-  let add_demand b ~line ~block = add b (Access.pack_demand ~line ~block)
-  let add_prefetch b ~line ~block = add b (Access.pack_prefetch ~line ~block)
   let finish : t -> _stream = Int_stream.Builder.finish
   let abort = Int_stream.Builder.abort
 end
@@ -55,7 +50,7 @@ let of_list ?backing accesses =
   List.iter (fun acc -> Builder.add_access b acc) accesses;
   Builder.finish b
 
-let to_array t = Array.init (length t) (fun i -> get_access t i)
+let to_array t = Array.init (length t) (fun i -> Access.unpack (get t i))
 
 module Cursor = struct
   type _stream = t

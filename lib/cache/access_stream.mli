@@ -43,9 +43,6 @@ val length : t -> int
 val get : t -> int -> Access.packed
 (** O(1).  Raises [Invalid_argument] out of bounds. *)
 
-val get_access : t -> int -> Access.t
-(** Boxed view of one entry (allocates; diagnostics and tests). *)
-
 val iter : (Access.packed -> unit) -> t -> unit
 val iteri : (int -> Access.packed -> unit) -> t -> unit
 
@@ -78,9 +75,6 @@ val close : t -> unit
 val raw : t -> Ripple_util.Int_stream.t
 (** The underlying int stream (zero-cost; same packed words). *)
 
-val of_raw : Ripple_util.Int_stream.t -> t
-(** Wraps an int stream whose entries are packed accesses. *)
-
 (** Incremental producer.  [add] never inspects earlier entries, so
     producers stream straight from their source (block trace, simulator
     replay) without materializing anything else. *)
@@ -96,8 +90,6 @@ module Builder : sig
   val length : t -> int
   val add : t -> Access.packed -> unit
   val add_access : t -> Access.t -> unit
-  val add_demand : t -> line:Ripple_isa.Addr.line -> block:int -> unit
-  val add_prefetch : t -> line:Ripple_isa.Addr.line -> block:int -> unit
 
   val finish : t -> stream
   (** Freezes the accumulated entries.  The builder is reset to empty

@@ -14,7 +14,6 @@ let v ~size_bytes ~ways =
 
 let set_of_line t line = Addr.set_index line ~sets:(sets t)
 let l1i = v ~size_bytes:(32 * 1024) ~ways:8
-let l1d = v ~size_bytes:(32 * 1024) ~ways:8
 let l2 = v ~size_bytes:(1024 * 1024) ~ways:16
 let l3 = v ~size_bytes:(8 * 1024 * 1024) ~ways:16
 

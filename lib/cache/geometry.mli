@@ -19,9 +19,6 @@ val set_of_line : t -> Ripple_isa.Addr.line -> int
 val l1i : t
 (** 32 KiB, 8-way: the paper's L1 instruction cache. *)
 
-val l1d : t
-(** 32 KiB, 8-way. *)
-
 val l2 : t
 (** 1 MiB, 16-way unified L2. *)
 

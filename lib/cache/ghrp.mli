@@ -17,4 +17,3 @@ val make : ?fixed:bool -> unit -> Policy.factory
 
 val history_bits : int
 val table_entries : int
-val n_tables : int

@@ -25,10 +25,6 @@
 
 val make : ?harmony:bool -> ?ehc:bool -> ?max_hits:int -> unit -> Policy.factory
 
-val predictor_entries : int
-val sampler_associativity : int
-val ehc_entries : int
-
 val stats_friendly_fraction : unit -> float
 (** Fraction of predictor lookups since the last [make] that returned
     cache-friendly — the paper reports > 99 % for I-cache traffic.

@@ -1,30 +1,26 @@
 module Param = struct
-  type value = Int of int | Float of float | Bool of bool
+  type value = Int of int | Bool of bool
 
   type spec = { key : string; doc : string; default : value }
 
   type set = (string * value) list
 
-  let type_name = function Int _ -> "int" | Float _ -> "float" | Bool _ -> "bool"
+  let type_name = function Int _ -> "int" | Bool _ -> "bool"
 
   let value_to_string = function
     | Int i -> string_of_int i
-    | Float f -> Printf.sprintf "%g" f
     | Bool b -> string_of_bool b
 
   let value_equal a b =
     match (a, b) with
     | Int a, Int b -> a = b
-    | Float a, Float b -> a = b
     | Bool a, Bool b -> a = b
     | _ -> false
 
-  (* Values parse against the *declared* type of the key, so a float
-     key accepts "2" but an int key rejects "2.5". *)
+  (* Values parse against the *declared* type of the key. *)
   let value_of_string ~like s =
     match like with
     | Int _ -> Option.map (fun i -> Int i) (int_of_string_opt s)
-    | Float _ -> Option.map (fun f -> Float f) (float_of_string_opt s)
     | Bool _ -> Option.map (fun b -> Bool b) (bool_of_string_opt s)
 
   let defaults specs = List.map (fun s -> (s.key, s.default)) specs
@@ -35,14 +31,6 @@ module Param = struct
     match List.assoc_opt key set with
     | Some (Int i) -> i
     | Some v -> invalid_arg (Printf.sprintf "Registry.Param: %S is %s, not int" key (type_name v))
-    | None -> missing key
-
-  let get_float set key =
-    match List.assoc_opt key set with
-    | Some (Float f) -> f
-    | Some (Int i) -> Float.of_int i
-    | Some v ->
-      invalid_arg (Printf.sprintf "Registry.Param: %S is %s, not float" key (type_name v))
     | None -> missing key
 
   let get_bool set key =

@@ -20,7 +20,7 @@
 
 (** Typed policy parameters. *)
 module Param : sig
-  type value = Int of int | Float of float | Bool of bool
+  type value = Int of int | Bool of bool
 
   type spec = {
     key : string;  (** lowercase identifier, e.g. ["psel_bits"] *)
@@ -31,25 +31,12 @@ module Param : sig
   type set = (string * value) list
   (** A resolved parameter set: every declared key bound exactly once. *)
 
-  val type_name : value -> string
   val value_to_string : value -> string
-  val value_equal : value -> value -> bool
-
-  val value_of_string : like:value -> string -> value option
-  (** Parse [s] at the type of [like]; [None] on type mismatch.  A float
-      key accepts integer literals; an int key does not accept floats. *)
-
   val defaults : spec list -> set
 
   val get_int : set -> string -> int
   (** @raise Invalid_argument if the key is absent or not an int. *)
 
-  val get_float : set -> string -> float
-  (** Accepts an [Int] binding too (widened).
-      @raise Invalid_argument if the key is absent or boolean. *)
-
-  val get_bool : set -> string -> bool
-  (** @raise Invalid_argument if the key is absent or not a bool. *)
 end
 
 type entry = {
@@ -60,7 +47,7 @@ type entry = {
   params : Param.spec list;  (** the policy's tunable knobs, possibly empty *)
   factory : seed:int -> params:Param.set -> Policy.factory;
       (** [params] must bind every declared key; resolve specs through
-          {!spec_factory} (or {!factory}) rather than calling this
+          {!factory} rather than calling this
           directly. *)
 }
 
@@ -100,11 +87,8 @@ val spec_params : spec -> Param.set
 (** The fully resolved parameter set: declared defaults overlaid with
     the spec's overrides. *)
 
-val spec_factory : ?seed:int -> spec -> Policy.factory
-(** Resolve and apply in one step ([seed] defaults to 1234, the
-    historical fixed seed of the bench). *)
-
 val factory : ?seed:int -> string -> Policy.factory
-(** [factory str] parses [str] as a spec and resolves it.
+(** [factory str] parses [str] as a spec and resolves it ([seed]
+    defaults to 1234, the historical fixed seed of the bench).
     @raise Invalid_argument on unknown names, unknown keys or ill-typed
     values. *)

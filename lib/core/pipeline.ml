@@ -69,10 +69,7 @@ module Eval = struct
     warmup : int;
   }
 
-  let v_trace ?(warmup = 0) ~trace ~policy () = { trace; policy; warmup }
-
-  let v ?warmup ~trace ~policy () =
-    v_trace ?warmup ~trace:(Simulator.Trace.Blocks trace) ~policy ()
+  let v ?(warmup = 0) ~trace ~policy () = { trace = Simulator.Trace.Blocks trace; policy; warmup }
 end
 
 module Options = struct
@@ -88,13 +85,9 @@ module Options = struct
     pt_roundtrip : bool;
     verify : bool;
     degrade : bool;
-    proven_safe : bool;
     min_salvage : float;
-    drift_safe : float;
-    drift_off : float;
     prefetch : prefetch;
     eval : Eval.t option;
-    search : float list;
     backing : Access_stream.backing;
     sampling : Simulator.Sampling.t option;
   }
@@ -112,21 +105,23 @@ module Options = struct
       pt_roundtrip = true;
       verify = false;
       degrade = false;
-      proven_safe = false;
       min_salvage = 0.5;
-      drift_safe = 0.02;
-      drift_off = 0.15;
       prefetch = Fdip;
       eval = None;
-      search = [];
       backing = Access_stream.Heap;
       sampling = None;
     }
 end
 
-(* Below this salvage ratio a profile is considered partial enough that
-   only statically-verified-safe hints may survive. *)
+(* The ladder's fixed thresholds, beside the caller's [min_salvage].
+   Below [safe_salvage] a profile is partial enough, and above
+   [drift_safe] (the illegal-transition fraction) it has drifted
+   enough, that the run drops to safe-only: the hints the path-search
+   classifier flags harmful or redundant are stripped and every other
+   hint ships.  Above [drift_off] the profile is discarded outright. *)
 let safe_salvage = 0.95
+let drift_safe = 0.02
+let drift_off = 0.15
 
 type profile = {
   trace : int array;
@@ -293,33 +288,21 @@ end
 let stage obs name f = Obs.Span.with_span (Obs.Run.spans obs) name f
 
 (* Safe-only mode: classify every injected hint on the instrumented
-   binary and strip the ones the static analysis cannot prove harmless
-   (Harmful or Redundant), keeping injection stats and provenance in
-   step.  With [proven_safe] the gate inverts from a denylist to an
-   allowlist: only hints the abstract interpretation *positively
-   proves* safe (dead, persistent-set, or pressure verdicts) survive —
-   not-flagged is no longer good enough.  Placements are ordered
-   block-ascending then by within-block injection order, matching each
-   block's hint array — so the (block, hint-index) key filters both
-   consistently. *)
-let strip_unsafe ~(config : Config.t) ~proven_safe instrumented (injection : Injector.stats) =
+   binary and strip the ones the path-search classifier flags Harmful
+   or Redundant (everything else ships), keeping injection stats and
+   provenance in step.  Placements are ordered block-ascending then by
+   within-block injection order, matching each block's hint array — so
+   the (block, hint-index) key filters both consistently. *)
+let strip_unsafe ~(config : Config.t) instrumented (injection : Injector.stats) =
   let unsafe = Hashtbl.create 16 in
-  if proven_safe then
-    List.iter
-      (fun ((site : Invalidation_check.site), _cls, verdict) ->
-        if not (Abs_cache.proved_safe verdict) then
-          Hashtbl.replace unsafe (site.Invalidation_check.block, site.Invalidation_check.index) ())
-      (Invalidation_check.classify_proved ~geometry:config.Config.l1i
-         ~entry:(Program.entry instrumented) (Program.blocks instrumented))
-  else
-    List.iter
-      (fun ((site : Invalidation_check.site), cls) ->
-        match cls with
-        | Invalidation_check.Harmful _ | Invalidation_check.Redundant _ ->
-          Hashtbl.replace unsafe (site.Invalidation_check.block, site.Invalidation_check.index) ()
-        | Invalidation_check.Safe_dead | Invalidation_check.Safe_pressure -> ())
-      (Invalidation_check.classify ~geometry:config.Config.l1i
-         ~entry:(Program.entry instrumented) (Program.blocks instrumented));
+  List.iter
+    (fun ((site : Invalidation_check.site), cls) ->
+      match cls with
+      | Invalidation_check.Harmful _ | Invalidation_check.Redundant _ ->
+        Hashtbl.replace unsafe (site.Invalidation_check.block, site.Invalidation_check.index) ()
+      | Invalidation_check.Safe_dead | Invalidation_check.Safe_pressure -> ())
+    (Invalidation_check.classify ~geometry:config.Config.l1i ~entry:(Program.entry instrumented)
+       (Program.blocks instrumented));
   if Hashtbl.length unsafe = 0 then (instrumented, injection, 0)
   else begin
     let stripped = Hashtbl.length unsafe in
@@ -381,12 +364,11 @@ let evaluation_to_json (ev : evaluation) =
 
 let overhead ~extra ~base = if base = 0 then 0.0 else Float.of_int extra /. Float.of_int base
 
-(* Instrumented-run evaluation (the paper's metrics).  The core of the
-   legacy [evaluate] entry point, shared with [run]'s simulate stage;
-   [obs], when present, routes the timing simulation's counters and the
-   Ripple accuracy/coverage gauges into the run's registry. *)
-let eval_core ?obs ?(backing = Access_stream.Heap) ?sampling ~(config : Config.t) ~warmup
-    ~original ~instrumented ~(trace : Simulator.Trace.t) ~policy ~prefetch () =
+(* Instrumented-run evaluation (the paper's metrics): [run]'s simulate
+   stage.  The timing simulation's counters go to [obs] and the Ripple
+   accuracy/coverage gauges to the run's cells [m]. *)
+let eval_core ~obs ~(m : Metrics.t) ~backing ?sampling ~(config : Config.t) ~warmup ~original
+    ~instrumented ~(trace : Simulator.Trace.t) ~policy ~prefetch () =
   (* Ideal eviction windows on the evaluation stream of the instrumented
      binary, in trace coordinates: the accuracy yardstick.  With a spill
      backing, the stream, its position index and the Belady working
@@ -424,7 +406,7 @@ let eval_core ?obs ?(backing = Access_stream.Heap) ?sampling ~(config : Config.t
     end
   in
   let result, sample =
-    Simulator.run_trace ~config ~warmup ?obs ~on_hint ?sampling ~program:instrumented ~trace
+    Simulator.run_trace ~config ~warmup ~obs ~on_hint ?sampling ~program:instrumented ~trace
       ~policy
       ~prefetcher:(prefetcher_of ~config prefetch)
       ()
@@ -448,19 +430,15 @@ let eval_core ?obs ?(backing = Access_stream.Heap) ?sampling ~(config : Config.t
       sample;
     }
   in
-  (match obs with
+  Obs.Metric.set m.Metrics.eval_coverage ev.coverage;
+  Obs.Metric.set m.Metrics.eval_accuracy ev.accuracy;
+  Obs.Metric.add m.Metrics.eval_hint_execs ev.hint_execs;
+  (match sample with
   | None -> ()
-  | Some obs ->
-    let m = Metrics.register (Obs.Run.registry obs) in
-    Obs.Metric.set m.Metrics.eval_coverage ev.coverage;
-    Obs.Metric.set m.Metrics.eval_accuracy ev.accuracy;
-    Obs.Metric.add m.Metrics.eval_hint_execs ev.hint_execs;
-    match sample with
-    | None -> ()
-    | Some (r : Simulator.Sampling.report) ->
-      Obs.Metric.add m.Metrics.sample_windows (Array.length r.Simulator.Sampling.spans);
-      Obs.Metric.add m.Metrics.sample_measured_blocks r.Simulator.Sampling.measured_blocks;
-      Obs.Metric.set m.Metrics.sample_coverage r.Simulator.Sampling.coverage);
+  | Some (r : Simulator.Sampling.report) ->
+    Obs.Metric.add m.Metrics.sample_windows (Array.length r.Simulator.Sampling.spans);
+    Obs.Metric.add m.Metrics.sample_measured_blocks r.Simulator.Sampling.measured_blocks;
+    Obs.Metric.set m.Metrics.sample_coverage r.Simulator.Sampling.coverage);
   ev
 
 type outcome = {
@@ -476,10 +454,14 @@ let degrade_level_code = function
   | Degrade.Safe_only -> 1.0
   | Degrade.Hints_off -> 2.0
 
-(* One end-to-end run at a fixed threshold: the six instrumented stages
-   (decode → profile → belady → cue-select → inject → simulate), each a
-   span in [obs] with its counters. *)
-let run_one ~obs ~(m : Metrics.t) (o : Options.t) ~source input =
+let register_metrics reg = ignore (Metrics.register reg : Metrics.t)
+
+(* One end-to-end run: the six instrumented stages (decode → profile →
+   belady → cue-select → inject → simulate), each a span in [obs] with
+   its counters. *)
+let run ?obs (o : Options.t) ~source input =
+  let obs = match obs with Some obs -> obs | None -> Obs.Run.create () in
+  let m = Metrics.register (Obs.Run.registry obs) in
   let config = o.Options.config in
   let prefetch = o.Options.prefetch in
   (* Stage 1 (Fig. 4): runtime profiling.  The analysis consumes what
@@ -504,10 +486,9 @@ let run_one ~obs ~(m : Metrics.t) (o : Options.t) ~source input =
   let drift = if o.Options.degrade then Bb_trace.drift source profile.trace else 0.0 in
   let level =
     if not o.Options.degrade then Degrade.Full
-    else if profile.salvage < o.Options.min_salvage || drift > o.Options.drift_off then
-      Degrade.Hints_off
-    else if (not fingerprint_ok) || drift > o.Options.drift_safe || profile.salvage < safe_salvage
-    then Degrade.Safe_only
+    else if profile.salvage < o.Options.min_salvage || drift > drift_off then Degrade.Hints_off
+    else if (not fingerprint_ok) || drift > drift_safe || profile.salvage < safe_salvage then
+      Degrade.Safe_only
     else Degrade.Full
   in
   Obs.Metric.set m.Metrics.profile_drift drift;
@@ -606,8 +587,7 @@ let run_one ~obs ~(m : Metrics.t) (o : Options.t) ~source input =
           in
           let instrumented, injection, stripped =
             match level with
-            | Degrade.Safe_only ->
-              strip_unsafe ~config ~proven_safe:o.Options.proven_safe instrumented injection
+            | Degrade.Safe_only -> strip_unsafe ~config instrumented injection
             | Degrade.Full | Degrade.Hints_off -> (instrumented, injection, 0)
           in
           let lint =
@@ -665,43 +645,8 @@ let run_one ~obs ~(m : Metrics.t) (o : Options.t) ~source input =
     | Some (e : Eval.t) ->
       Some
         (stage obs "simulate" (fun () ->
-             eval_core ~obs ~backing:o.Options.backing ?sampling:o.Options.sampling ~config
+             eval_core ~obs ~m ~backing:o.Options.backing ?sampling:o.Options.sampling ~config
                ~warmup:e.Eval.warmup ~original:source ~instrumented ~trace:e.Eval.trace
                ~policy:e.Eval.policy ~prefetch ()))
   in
-  { program = instrumented; analysis; evaluation; obs; metrics = Obs.Snapshot.empty }
-
-let register_metrics reg = ignore (Metrics.register reg : Metrics.t)
-
-let run ?obs (o : Options.t) ~source input =
-  let obs = match obs with Some obs -> obs | None -> Obs.Run.create () in
-  let m = Metrics.register (Obs.Run.registry obs) in
-  let outcome =
-    match o.Options.search with
-    | [] -> run_one ~obs ~m o ~source input
-    | candidates ->
-      if o.Options.eval = None then
-        invalid_arg "Pipeline.run: Options.search requires Options.eval";
-      (* Per-application threshold selection (§III-C): one sub-run per
-         candidate under a [search] span, best IPC winning, first
-         candidate winning ties.  Counters accumulate across candidates
-         (the registry is per run, not per candidate). *)
-      stage obs "search" (fun () ->
-          let best = ref None in
-          List.iter
-            (fun threshold ->
-              let oc =
-                run_one ~obs ~m { o with Options.threshold; search = [] } ~source input
-              in
-              let ipc =
-                match oc.evaluation with
-                | Some ev -> ev.result.Simulator.ipc
-                | None -> assert false
-              in
-              match !best with
-              | Some (best_ipc, _) when best_ipc >= ipc -> ()
-              | _ -> best := Some (ipc, oc))
-            candidates;
-          match !best with Some (_, oc) -> oc | None -> assert false)
-  in
-  { outcome with metrics = Obs.Run.snapshot obs }
+  { program = instrumented; analysis; evaluation; obs; metrics = Obs.Run.snapshot obs }

@@ -30,11 +30,12 @@ val belady_mode_of : prefetch -> Belady.mode
 
 (** The degradation ladder: how much of a profile's authority survives
     contact with the binary it is about to instrument.  [Full] applies
-    every decision; [Safe_only] keeps only hints the static analysis
-    ({!Ripple_analysis.Invalidation_check}) proves harmless; [Hints_off]
+    every decision; [Safe_only] strips the hints the path-search
+    classifier ({!Ripple_analysis.Invalidation_check.classify}) flags
+    [Harmful] or [Redundant] and ships everything else; [Hints_off]
     ships the binary untouched, so behaviour is exactly the baseline
     replacement policy.  The ladder only engages when
-    {!Options.t.degrade} is set — legacy callers get [Full]
+    {!Options.t.degrade} is set — other callers get [Full]
     unconditionally. *)
 module Degrade : sig
   type level = Full | Safe_only | Hints_off
@@ -76,11 +77,8 @@ module Eval : sig
   type t = { trace : Simulator.Trace.t; policy : Policy.factory; warmup : int }
 
   val v : ?warmup:int -> trace:int array -> policy:Policy.factory -> unit -> t
-  (** [warmup] defaults to 0. *)
-
-  val v_trace : ?warmup:int -> trace:Simulator.Trace.t -> policy:Policy.factory -> unit -> t
-  (** Like {!v} over either trace representation — the out-of-core entry
-      point for spill-backed ({!Ripple_util.Int_stream}) traces. *)
+  (** [warmup] defaults to 0.  Build the record directly to evaluate a
+      spill-backed ({!Ripple_util.Int_stream}) trace. *)
 end
 
 (** Instrumentation knobs, gathered into one plain record.  Build a
@@ -124,33 +122,18 @@ module Options : sig
         (** engage the degradation ladder ({!Degrade}): step down to
             safe-only hints or no hints when the profile's fingerprint,
             salvage ratio or drift says it no longer describes the
-            target binary.  Off by default: legacy callers (including
-            stitched LBR profiles, which are deliberately not a legal
-            path) keep full-trust behaviour *)
-    proven_safe : bool;
-        (** harden the ladder's [Safe_only] rung from a denylist to an
-            allowlist: instead of stripping only hints the path-search
-            classifier flags (harmful/redundant), keep only hints the
-            abstract interpretation ({!Ripple_analysis.Abs_cache})
-            positively proves safe — dead, persistent-set, or
-            guaranteed-pressure verdicts.  Off by default (the legacy
-            denylist) *)
+            target binary.  The drift thresholds are fixed: above 2 %
+            illegal transitions the run drops to safe-only, above 15 %
+            to [Hints_off].  Off by default: stitched LBR profiles,
+            which are deliberately not a legal path, keep full-trust
+            behaviour *)
     min_salvage : float;
         (** below this salvage ratio the profile is discarded outright
             ([Hints_off]); default 0.5 *)
-    drift_safe : float;
-        (** above this illegal-transition fraction only verified-safe
-            hints survive; default 0.02 *)
-    drift_off : float;
-        (** above this the profile is discarded outright; default 0.15 *)
     prefetch : prefetch;  (** front-end prefetcher; default [Fdip] *)
     eval : Eval.t option;
         (** when set, {!run} simulates the instrumented binary and fills
             {!outcome.evaluation}; default [None] *)
-    search : float list;
-        (** per-application threshold candidates (§III-C): when
-            non-empty, {!run} runs the pipeline once per candidate and
-            keeps the best-IPC outcome (requires [eval]); default [[]] *)
     backing : Ripple_cache.Access_stream.backing;
         (** where recorded access streams (and the Belady working
             tables) live: [Heap] (default) or [Spill], which writes
@@ -245,12 +228,10 @@ val register_metrics : Obs.Registry.t -> unit
 
 val run : ?obs:Obs.Run.t -> Options.t -> source:Program.t -> input -> outcome
 (** The façade: profile acquisition → eviction analysis → cue-block
-    selection → link-time injection — and, per {!Options.t.eval} /
-    [search], evaluation and per-application threshold selection — as
-    one call.  [source] is the binary being shipped; [input] is where
-    the profile comes from.  [obs] attaches the run to an existing
-    observability context (e.g. a per-cell runner span); a fresh one is
-    created otherwise.
-
-    Raises [Invalid_argument] if [search] is non-empty while [eval] is
-    [None] (threshold selection needs an IPC to rank by). *)
+    selection → link-time injection — and, per {!Options.t.eval},
+    evaluation — as one call at {!Options.t.threshold}.  [source] is the
+    binary being shipped; [input] is where the profile comes from.
+    [obs] attaches the run to an existing observability context (e.g. a
+    per-cell runner span); a fresh one is created otherwise.
+    Per-application threshold selection (§III-C) is one run per
+    candidate: the bench submits one Ripple spec per threshold. *)

@@ -24,9 +24,6 @@ let penalty config = function
   | L3 -> Config.miss_penalty config ~hit_level:`L3
   | Memory -> Config.miss_penalty config ~hit_level:`Memory
 
-let l2_stats t = Cache.stats t.l2
-let l3_stats t = Cache.stats t.l3
-
 let save t =
   let restore_l2 = Cache.save t.l2 and restore_l3 = Cache.save t.l3 in
   fun () ->

@@ -21,9 +21,6 @@ val fetch : t -> Addr.line -> served
 val penalty : Config.t -> served -> int
 (** Exposed cycles of a demand miss served at that level. *)
 
-val l2_stats : t -> Ripple_cache.Stats.t
-val l3_stats : t -> Ripple_cache.Stats.t
-
 val save : t -> unit -> unit
 (** Deep-copies both levels' state; the thunk restores it (see
     {!Ripple_cache.Cache.save}). *)

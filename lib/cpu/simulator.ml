@@ -74,7 +74,6 @@ module Trace = struct
     | Blocks a -> Array.unsafe_get a i
     | Stream s -> Int_stream.unsafe_get s i
 
-  let to_blocks = function Blocks a -> a | Stream s -> Int_stream.to_array s
   let close = function Blocks _ -> () | Stream s -> Int_stream.close s
 end
 
@@ -465,13 +464,10 @@ let instructions_from_trace ~program ~(trace : Trace.t) ~warmup =
 let instructions_from ~program ~trace ~warmup =
   instructions_from_trace ~program ~trace:(Trace.Blocks trace) ~warmup
 
-let ideal_cache_trace ?(config = Config.default) ?(warmup = 0) ~program ~trace () =
-  let instructions = instructions_from_trace ~program ~trace ~warmup in
+let ideal_cache ?(config = Config.default) ?(warmup = 0) ~program ~trace () =
+  let instructions = instructions_from ~program ~trace ~warmup in
   finish ~config ~instructions ~hint_instructions:0 ~miss_cycles:0.0 ~l1i:(Stats.create ())
     ~l2_served:0 ~l3_served:0 ~mem_served:0
-
-let ideal_cache ?config ?warmup ~program ~trace () =
-  ideal_cache_trace ?config ?warmup ~program ~trace:(Trace.Blocks trace) ()
 
 let record_stream_indexed_trace ?(config = Config.default) ?backing ~program
     ~(trace : Trace.t) ~prefetcher () =

@@ -53,9 +53,6 @@ module Trace : sig
   val get : t -> int -> int
   (** Unchecked on the [Blocks] case — for loop-bounded callers. *)
 
-  val to_blocks : t -> int array
-  (** Materializes a [Stream] trace; the identity on [Blocks]. *)
-
   val close : t -> unit
   (** Releases a [Stream] trace's backing (unlinking its spill file);
       no-op on [Blocks]. *)
@@ -162,10 +159,6 @@ val ideal_cache :
   ?config:Config.t -> ?warmup:int -> program:Program.t -> trace:int array -> unit -> result
 (** The Fig. 1 limit: an I-cache that never misses. *)
 
-val ideal_cache_trace :
-  ?config:Config.t -> ?warmup:int -> program:Program.t -> trace:Trace.t -> unit -> result
-(** {!ideal_cache} over either trace representation. *)
-
 val oracle :
   ?config:Config.t ->
   ?warmup:int ->
@@ -193,19 +186,6 @@ val oracle :
     {!Belady.merge}); the Belady pass is then skipped and the recorded
     fill sequence drives the L2/L3 hierarchy instead — byte-identical to
     the inline pass, since fills are replayed in stream order. *)
-
-val oracle_result :
-  ?config:Config.t ->
-  instructions:int ->
-  count_from:int ->
-  stream:Access_stream.t ->
-  Belady.result ->
-  result
-(** The assembly step of {!oracle}[ ~replay] on its own: replays the
-    recorded fills through a fresh L2/L3 hierarchy and packages the
-    Belady counters as a simulation result.  [instructions] is the
-    steady-state instruction count of the underlying trace;
-    [count_from] the first measured stream index. *)
 
 val stream_count_from : stream_pos:int array -> warmup:int -> int
 (** First stream index whose recorded trace position is [>= warmup] —

@@ -16,9 +16,6 @@ type line = int
 val line_size : int
 (** Bytes per cache line (64). *)
 
-val line_bits : int
-(** [log2 line_size]. *)
-
 val line_of : t -> line
 (** Line containing a byte address. *)
 

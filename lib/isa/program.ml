@@ -135,7 +135,3 @@ let relocate t ~line_shift =
       t.blocks
   in
   { t with blocks }
-
-let pp_summary fmt t =
-  Format.fprintf fmt "@[program: %d blocks, %d bytes, %d instrs, %d hint(s), %d lines@]"
-    (n_blocks t) (static_bytes t) (static_instrs t) (static_hints t) (footprint_lines t)

@@ -80,5 +80,3 @@ val with_hints : t -> hints:Basic_block.hint list array -> t * (Addr.t -> Addr.t
 (** [with_hints p ~hints] returns a program in which block [i] carries
     [hints.(i)], plus the (identity) old→new address remapper — see the
     module comment on layout preservation. *)
-
-val pp_summary : Format.formatter -> t -> unit

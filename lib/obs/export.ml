@@ -43,7 +43,7 @@ let process_meta ~pid name =
       ("args", Json.Obj [ ("name", Json.String name) ]);
     ]
 
-let chrome_trace ?(process_name = "ripple-sim") run =
+let chrome_trace run =
   let spans = Run.spans run in
   let epoch = Span.epoch spans in
   let span_events = List.map (span_event ~epoch) (Span.closed spans) in
@@ -54,10 +54,7 @@ let chrome_trace ?(process_name = "ripple-sim") run =
       (Registry.cells (Run.registry run))
   in
   let meta =
-    [
-      process_meta ~pid:1 process_name;
-      process_meta ~pid:2 (process_name ^ " (virtual time)");
-    ]
+    [ process_meta ~pid:1 "ripple-sim"; process_meta ~pid:2 "ripple-sim (virtual time)" ]
   in
   Json.Obj
     [
@@ -65,19 +62,12 @@ let chrome_trace ?(process_name = "ripple-sim") run =
       ("displayTimeUnit", Json.String "ms");
     ]
 
-let openmetrics run = Snapshot.to_openmetrics (Run.snapshot run)
-
 let chrome_sink =
   {
     name = "chrome-trace";
     extension = ".json";
     render = (fun run -> Json.to_string (chrome_trace run) ^ "\n");
   }
-
-let openmetrics_sink = { name = "openmetrics"; extension = ".txt"; render = openmetrics }
-
-let sinks = [ chrome_sink; openmetrics_sink ]
-let find_sink name = List.find_opt (fun s -> s.name = name) sinks
 
 let write sink ~path run =
   let rendered = sink.render run in

@@ -1,35 +1,22 @@
-(** Pluggable trace/metrics sinks.
+(** Chrome trace-event export of a {!Run.t}.
 
-    Two renderings of one {!Run.t}:
-
-    - {!chrome_trace}: Chrome [trace_event] JSON (the
-      ["traceEvents"]-array format), loadable in [chrome://tracing] and
-      {{:https://ui.perfetto.dev}Perfetto}.  Closed spans become
-      complete (["ph": "X"]) duration events on pid 1 with microsecond
-      timestamps relative to the recorder's epoch; metric series become
-      counter (["ph": "C"]) events on pid 2, timestamped in {e virtual}
-      time (their sample coordinate, e.g. the trace index), one track
-      per series.
-    - {!openmetrics}: the {!Snapshot.to_openmetrics} text exposition of
-      the run's deterministic snapshot.
-
-    A {!sink} packages a rendering with a name so front ends can offer
-    the catalogue ([--format]-style) without knowing each format. *)
+    {!chrome_sink} renders Chrome [trace_event] JSON (the
+    ["traceEvents"]-array format), loadable in [chrome://tracing] and
+    {{:https://ui.perfetto.dev}Perfetto}.  Closed spans become complete
+    (["ph": "X"]) duration events on pid 1 with microsecond timestamps
+    relative to the recorder's epoch; metric series become counter
+    (["ph": "C"]) events on pid 2, timestamped in {e virtual} time (their
+    sample coordinate, e.g. the trace index), one track per series.  The
+    run's deterministic snapshot renders as OpenMetrics text through
+    {!Snapshot.to_openmetrics}. *)
 
 type sink = {
-  name : string;  (** ["chrome-trace"], ["openmetrics"] *)
+  name : string;  (** ["chrome-trace"] *)
   extension : string;  (** conventional file extension, e.g. [".json"] *)
   render : Run.t -> string;
 }
 
-val chrome_trace : ?process_name:string -> Run.t -> Ripple_util.Json.t
-val openmetrics : Run.t -> string
-
 val chrome_sink : sink
-val openmetrics_sink : sink
-
-val sinks : sink list
-val find_sink : string -> sink option
 
 val write : sink -> path:string -> Run.t -> unit
 (** Renders to a temp file in [path]'s directory, then renames — the

@@ -44,7 +44,6 @@ let sample s ~at v =
   s.n <- s.n + 1
 
 let series_points s = Array.init s.n (fun i -> (s.at.(i), s.values.(i)))
-let series_last s = if s.n = 0 then None else Some s.values.(s.n - 1)
 
 (* OpenMetrics label-value escaping: backslash, double quote, newline. *)
 let escape_label_value v =

@@ -55,7 +55,6 @@ val sample : series -> at:int -> float -> unit
 (** Appends one [(at, value)] point (amortised-O(1) array growth). *)
 
 val series_points : series -> (int * float) array
-val series_last : series -> float option
 
 (** {2 Labels}
 

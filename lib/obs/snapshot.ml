@@ -66,8 +66,6 @@ let merge a b =
     spans = merge_sorted (fun _ x y -> x + y) a.spans b.spans;
   }
 
-let metric_names t = List.map fst t.metrics
-
 let value_to_json = function
   | Counter n -> Json.Int n
   | Gauge v -> Json.Float v

@@ -5,7 +5,7 @@
     snapshot is a pure function of the work performed, so the same
     experiment cell snapshots byte-identically whether it ran alone or
     on a 4-domain pool — the property the sweep JSONL [metrics] object
-    is built on.  Wall times live only in {!Export.chrome_trace}. *)
+    is built on.  Wall times live only in {!Export.chrome_sink}. *)
 
 type value =
   | Counter of int
@@ -27,8 +27,6 @@ val merge : t -> t -> t
     counts sum.  Associative with {!empty} as identity, so folding cell
     snapshots in submission order gives one deterministic sweep-level
     aggregate. *)
-
-val metric_names : t -> string list
 
 val to_json : t -> Ripple_util.Json.t
 (** Deterministic: equal snapshots render byte-identically. *)

@@ -23,16 +23,13 @@ type internals = {
   issued : unit -> int;  (** prefetch accesses issued *)
 }
 
-val default_ftq_depth : int
-(** 24 fetch targets, in line with the FTQ sizing the IPC-1 studies use. *)
-
-val default_issue_width : int
-(** Prefetch lines issued per fetched block (finite fill bandwidth; a
-    flushed front end takes several blocks to re-cover a new path, which
-    is where FDIP's residual misses come from). *)
-
 val create :
   ?ftq_depth:int -> ?issue_width:int -> program:Program.t -> unit -> Prefetcher.t
+(** [ftq_depth] defaults to 24 fetch targets, in line with the FTQ
+    sizing the IPC-1 studies use.  [issue_width], the prefetch lines
+    issued per fetched block, defaults to 2: finite fill bandwidth, so a
+    flushed front end takes several blocks to re-cover a new path, which
+    is where FDIP's residual misses come from. *)
 
 val create_instrumented :
   ?ftq_depth:int -> ?issue_width:int -> program:Program.t -> unit -> Prefetcher.t * internals

@@ -17,15 +17,14 @@
 
 module Program := Ripple_isa.Program
 
-val default_table_entries : int
-val default_lines_per_signature : int
-
 val create :
   ?table_entries:int ->
   ?lines_per_signature:int ->
   program:Program.t ->
   unit ->
   Prefetcher.t
+(** [table_entries] defaults to 2048 signatures, [lines_per_signature]
+    to 6. *)
 
 val storage_bits : table_entries:int -> lines_per_signature:int -> int
 (** Metadata accounting: each entry holds a tag plus

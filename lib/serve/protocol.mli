@@ -36,9 +36,6 @@ type reply =
   | Ok of Ripple_util.Json.t
   | Error of string
 
-val max_payload : int
-(** Frames advertising a larger payload are rejected as corrupt. *)
-
 val version : int
 (** The protocol version this build speaks (2). *)
 
@@ -61,8 +58,9 @@ module Reader : sig
 
   val pop_frame : t -> [ `Frame of frame | `Awaiting | `Corrupt of string ]
   (** Next complete frame, [`Awaiting] if the buffer holds only a
-      partial one.  After [`Corrupt] the stream is unrecoverable (the
-      framing carries no resync marker): close the connection. *)
+      partial one.  A length prefix above 16 MiB is [`Corrupt].  After
+      [`Corrupt] the stream is unrecoverable (the framing carries no
+      resync marker): close the connection. *)
 
   val pop_reply : t -> [ `Reply of reply | `Awaiting | `Corrupt of string ]
   (** Client side of {!pop_frame}. *)

@@ -74,12 +74,6 @@ let salvage t =
 
 let errors t = List.fold_left (fun acc g -> acc + g.g_errors) 0 t.gens
 
-let spill_bytes t =
-  List.fold_left
-    (fun acc g ->
-      if Int_stream.is_spill g.g_blocks then acc + Int_stream.byte_size g.g_blocks else acc)
-    0 t.gens
-
 let close t =
   List.iter (fun g -> Int_stream.close g.g_blocks) t.gens;
   t.gens <- [];

@@ -52,10 +52,6 @@ val salvage : t -> float
 val errors : t -> int
 (** Total decode errors across retained generations. *)
 
-val spill_bytes : t -> int
-(** Bytes of retained generations held in spill files (0 under the heap
-    backing). *)
-
 val close : t -> unit
 (** Releases every retained generation — unlinking spill files — and
     empties the window.  Session-teardown hook; the window remains

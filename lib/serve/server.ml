@@ -78,6 +78,9 @@ let session_of t (state : Snapshot.state) journal =
          ~window:t.config.window ~reemit_every:t.config.reemit_every ~program state journal)
 
 let create config =
+  (* Checked here, not where the first session's window is built inside
+     the event loop. *)
+  if config.window < 1 then invalid_arg "Server.create: window must be positive";
   let obs = Obs.Run.create () in
   (* Daemon teardown: whatever spill-backed windows are still live when
      the process exits, their files go with it. *)
@@ -134,7 +137,6 @@ let create config =
 
 let obs t = t.obs
 let sessions t = t.sessions
-let request_stop t = t.stopping <- true
 let find_session t name = List.find_opt (fun s -> Session.name s = name) t.sessions
 
 let register_session t name program =

@@ -65,27 +65,20 @@ val default_config : config
     first use; not durable ([state_dir = None]); [max_conns] 64,
     [max_sessions] 32, [idle_timeout] 30s. *)
 
-val builtin_lookup : string -> Program.t option
-(** The default [lookup]: {!Ripple_workloads.Apps.by_name} →
-    {!Ripple_workloads.Cfg_gen.generate}, memoized. *)
-
 type t
 
 val create : config -> t
 (** Build the daemon state.  With [state_dir] set, opens the store and
     recovers every snapshot in it through {!Session.restore} (apps the
     [lookup] no longer knows are skipped), counting each into
-    [ripple_serve_snapshots_recovered]. *)
+    [ripple_serve_snapshots_recovered].  Raises [Invalid_argument] if
+    [window < 1]. *)
 
 val obs : t -> Obs.Run.t
 val sessions : t -> Session.t list
 (** Name-sorted. *)
 
 val find_session : t -> string -> Session.t option
-
-val snapshot_all : t -> unit
-(** Write every session's snapshot now (no-op without a store) —
-    the graceful-drain persistence step, exposed for tests. *)
 
 (** Per-connection protocol state: which session [Hello_v] bound. *)
 module Conn : sig
@@ -112,10 +105,6 @@ val metrics_body : t -> string
 
 val serve_forever : t -> unit
 (** Bind both listeners, write [ready_file], and run the event loop
-    until SIGTERM (or {!request_stop}); then drain, snapshot every
-    session, remove [ready_file] and return — the caller exits 0.
-    Raises [Unix.Unix_error] if binding fails. *)
-
-val request_stop : t -> unit
-(** Flip the stop flag {!serve_forever} polls — what the SIGTERM handler
-    does, exposed for in-process tests. *)
+    until SIGTERM; then drain, snapshot every session, remove
+    [ready_file] and return — the caller exits 0.  Raises
+    [Unix.Unix_error] if binding fails. *)

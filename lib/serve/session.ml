@@ -54,7 +54,7 @@ let register_cells reg app =
    at construction time is the caller's business — [create] and
    [restore] differ on exactly that. *)
 let make ?store ~obs ~options ~window ~reemit_every ~name ~program () =
-  let options = { options with Pipeline.Options.eval = None; search = [] } in
+  let options = { options with Pipeline.Options.eval = None } in
   let backing = options.Pipeline.Options.backing in
   let reg = Obs.Run.registry obs in
   let cells = register_cells reg name in

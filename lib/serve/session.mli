@@ -43,7 +43,7 @@ val create :
   program:Program.t ->
   unit ->
   t
-(** [options] drives every re-emission ([eval]/[search] are cleared;
+(** [options] drives every re-emission ([eval] is cleared;
     set [degrade] or the ladder never engages).  [window] is the rolling
     capacity in blocks; [reemit_every] enables mid-capture re-emission
     when positive.  [store] makes the session durable: any stale journal

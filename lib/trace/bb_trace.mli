@@ -28,19 +28,15 @@ val demand_stream : Program.t -> t -> Ripple_cache.Access_stream.t
     ({!Ripple_cache.Access_stream}), so expansion allocates one word
     per access and nothing else. *)
 
-val illegal_transitions : Program.t -> t -> int
-(** Number of consecutive pairs in the trace that the program's static
-    CFG cannot produce: a direct edge to the wrong block, a conditional
-    to neither arm, an indirect transfer outside its static target set,
-    flow past a halt, or an out-of-range id.  [Return] edges are always
-    accepted (they resolve dynamically).  Zero for any trace decoded
-    from this program. *)
-
 val drift : Program.t -> t -> float
-(** {!illegal_transitions} as a fraction of the trace's transitions —
-    the signal {!Ripple_core.Pipeline} uses to decide whether a profile
-    still describes the program it is about to instrument.  0.0 for
-    traces shorter than two blocks. *)
+(** The fraction of consecutive pairs in the trace that the program's
+    static CFG cannot produce: a direct edge to the wrong block, a
+    conditional to neither arm, an indirect transfer outside its static
+    target set, flow past a halt, or an out-of-range id.  [Return] edges
+    are always accepted (they resolve dynamically).  Zero for any trace
+    decoded from this program, and for traces shorter than two blocks.
+    It is the signal {!Ripple_core.Pipeline} uses to decide whether a
+    profile still describes the program it is about to instrument. *)
 
 val kernel_fraction : Program.t -> t -> float
 (** Fraction of executed blocks that are kernel code. *)

@@ -161,7 +161,6 @@ module Session = struct
     mutable drained : int;
     mutable errors_rev : decode_error list;
     mutable n_errors : int;
-    mutable drained_errors : int;
     mutable resyncs : int;
     mutable eof : bool;
   }
@@ -181,7 +180,6 @@ module Session = struct
       drained = 0;
       errors_rev = [];
       n_errors = 0;
-      drained_errors = 0;
       resyncs = 0;
       eof = false;
     }
@@ -425,18 +423,6 @@ module Session = struct
     let fresh = Array.sub t.blocks t.drained (t.count - t.drained) in
     t.drained <- t.count;
     fresh
-
-  let drain_errors t =
-    let fresh = t.n_errors - t.drained_errors in
-    let rec take acc k rest =
-      if k = 0 then acc
-      else
-        match rest with
-        | e :: rest -> take (e :: acc) (k - 1) rest
-        | [] -> acc
-    in
-    t.drained_errors <- t.n_errors;
-    take [] fresh t.errors_rev
 
   let decoded t = t.count
   let expected t = t.n

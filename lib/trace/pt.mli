@@ -81,10 +81,6 @@ module Session : sig
       Draining does not affect {!result}, which always covers the whole
       session. *)
 
-  val drain_errors : t -> decode_error list
-  (** Errors recorded since the previous [drain_errors], in stream
-      order. *)
-
   val decoded : t -> int
   (** Total blocks decoded so far. *)
 

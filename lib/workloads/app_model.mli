@@ -60,6 +60,3 @@ val default : t
 (** A mid-size template the nine app models specialise. *)
 
 val pp : Format.formatter -> t -> unit
-
-val approx_footprint_bytes : t -> int
-(** Expected static code size implied by the sizing fields. *)

@@ -214,14 +214,3 @@ let generate (model : App_model.t) =
   let weights = Array.make n [||] in
   List.iter (fun (id, w) -> weights.(id) <- w) r.weightses;
   { model; program; dispatcher; handlers; bias; weights }
-
-(* The builder aligned exactly the function heads and the dispatcher, so
-   entries are recoverable from address alignment. *)
-let function_entries t =
-  let entries = ref [] in
-  Program.iter
-    (fun b ->
-      if b.Basic_block.addr mod Program.block_alignment = 0 then
-        entries := b.Basic_block.id :: !entries)
-    t.program;
-  Array.of_list (List.rev !entries)

@@ -27,6 +27,3 @@ type t = {
 }
 
 val generate : App_model.t -> t
-
-val function_entries : t -> int array
-(** Entry block ids of every generated function (diagnostics). *)

@@ -942,6 +942,15 @@ let test_abs_leak_rule () =
   checkb "loop outside the slice leaks" true
     (Abs.prove abs ~block:0 ~index:0 = Abs.Unproved)
 
+(* Every hint site with its path-search classification and its abstract
+   verdict over one shared analysis, paired the way [Lint] pairs them. *)
+let classify_proved ~geometry ~entry blocks =
+  let abs = Abs.analyze ~geometry ~entry blocks in
+  List.map
+    (fun ((s : Icheck.site), c) ->
+      (s, c, Abs.prove abs ~block:s.Icheck.block ~index:s.Icheck.index))
+    (Icheck.classify ~geometry ~entry blocks)
+
 let test_lint_classifier_disagreement () =
   (* Reuse that flows only through the Return resumption: the path
      search (bare flow graph, Return is a sink) calls the hint dead,
@@ -955,7 +964,7 @@ let test_lint_classifier_disagreement () =
       mk ~id:2 ~addr:(at 2) Basic_block.Halt;
     |]
   in
-  (match Icheck.classify_proved ~geometry:tiny_geometry ~entry:0 blocks with
+  (match classify_proved ~geometry:tiny_geometry ~entry:0 blocks with
   | [ (_, Icheck.Safe_dead, Abs.Proved_harmful) ] -> ()
   | [ (_, c, v) ] ->
     Alcotest.failf "expected safe_dead/proved_harmful, got %s/%s"
@@ -1065,7 +1074,7 @@ let prop_abs_agreement =
           match c with
           | Icheck.Harmful _ -> not (Abs.proved_safe v)
           | _ -> true)
-        (Icheck.classify_proved ~geometry:tiny_geometry ~entry:(Program.entry program)
+        (classify_proved ~geometry:tiny_geometry ~entry:(Program.entry program)
            (Program.blocks program)))
 
 (* Hints over a generated program, drawn per block from the seed:
@@ -1248,48 +1257,6 @@ let test_nine_apps_bounds_bracket () =
         && r.Simulator.mpki <= b.Abs.mpki_upper +. 1e-9))
     W.Apps.all
 
-(* ------------- degradation ladder: proven-safe allowlist ------------- *)
-
-let test_proven_safe_ladder () =
-  let w = W.Cfg_gen.generate (tiny_model 23) in
-  let program = w.W.Cfg_gen.program in
-  let trace = W.Executor.run w ~input:W.Executor.train ~n_instrs:100_000 in
-  (* Salvage 0.9: good enough to keep hints (>= min_salvage) but below
-     the full-trust bar, so the ladder lands on Safe_only. *)
-  let profile = { Pipeline.trace; source = program; salvage = 0.9; pt_errors = 3 } in
-  let run proven_safe =
-    Pipeline.run
-      {
-        Pipeline.Options.default with
-        degrade = true;
-        proven_safe;
-        verify = true;
-        prefetch = Pipeline.No_prefetch;
-      }
-      ~source:program (Pipeline.Profile profile)
-  in
-  let legacy = run false in
-  let proven = run true in
-  let level (o : Pipeline.outcome) =
-    o.Pipeline.analysis.Pipeline.degrade.Pipeline.Degrade.level
-  in
-  checkb "legacy lands on safe-only" true (level legacy = Pipeline.Degrade.Safe_only);
-  checkb "proven lands on safe-only" true (level proven = Pipeline.Degrade.Safe_only);
-  (* The allowlist run ships only hints with a positive safety proof. *)
-  let verdicts (o : Pipeline.outcome) =
-    Icheck.classify_proved ~geometry:Geometry.l1i
-      ~entry:(Program.entry o.Pipeline.program)
-      (Program.blocks o.Pipeline.program)
-  in
-  checkb "all shipped hints proved safe" true
-    (List.for_all (fun (_, _, v) -> Abs.proved_safe v) (verdicts proven));
-  (* The allowlist is a refinement: it strips at least as much as the
-     legacy denylist ever did. *)
-  let stripped (o : Pipeline.outcome) =
-    o.Pipeline.analysis.Pipeline.degrade.Pipeline.Degrade.stripped
-  in
-  checkb "allowlist strips at least as much" true (stripped proven >= stripped legacy)
-
 let suites =
   [
     ( "analysis.structural",
@@ -1361,7 +1328,6 @@ let suites =
         Alcotest.test_case "leak rule" `Quick test_abs_leak_rule;
         Alcotest.test_case "classifier disagreement" `Quick test_lint_classifier_disagreement;
         Alcotest.test_case "proof counters and json" `Quick test_lint_proof_counters;
-        Alcotest.test_case "proven-safe ladder" `Quick test_proven_safe_ladder;
         Alcotest.test_case "nine apps: bounds bracket simulation" `Slow
           test_nine_apps_bounds_bracket;
       ]

@@ -303,19 +303,6 @@ let test_pipeline_threshold_monotone_decisions () =
   in
   checkb "higher threshold, fewer decisions" true (count 0.9 <= count 0.3)
 
-let test_pipeline_search_threshold () =
-  let program, train, eval = mini_setup () in
-  let warmup = Array.length eval / 2 in
-  let oc =
-    run_mini program train
-      ~options:{ Pipeline.Options.default with search = [ 0.45; 0.65 ] }
-      ~eval:(warmup, eval, Cache.Lru.make)
-  in
-  let threshold = oc.Pipeline.analysis.Pipeline.threshold in
-  let ev = Option.get oc.Pipeline.evaluation in
-  checkb "picked a candidate" true (threshold = 0.45 || threshold = 0.65);
-  checkb "evaluation attached" true (ev.Pipeline.hint_execs >= 0)
-
 let test_pipeline_prefetch_helpers () =
   check Alcotest.string "name none" "none" (Pipeline.prefetch_name Pipeline.No_prefetch);
   check Alcotest.string "name nlp" "nlp" (Pipeline.prefetch_name Pipeline.Nlp);
@@ -354,7 +341,6 @@ let suites =
         Alcotest.test_case "ripple-random works" `Quick test_pipeline_ripple_random_works;
         Alcotest.test_case "demote mode runs" `Quick test_pipeline_demote_mode_runs;
         Alcotest.test_case "threshold monotone" `Quick test_pipeline_threshold_monotone_decisions;
-        Alcotest.test_case "search threshold" `Quick test_pipeline_search_threshold;
         Alcotest.test_case "helpers" `Quick test_pipeline_prefetch_helpers;
       ] );
   ]

@@ -869,6 +869,12 @@ let test_push_rejects_bad_arguments () =
       (1, -5, "chunk must be positive");
     ]
 
+(* A window below one block fails when the daemon is built, not when the
+   first session's rolling window is, inside the event loop. *)
+let test_server_rejects_zero_window () =
+  Alcotest.check_raises "window 0" (Invalid_argument "Server.create: window must be positive")
+    (fun () -> ignore (Server.create { Server.default_config with Server.window = 0 } : Server.t))
+
 let test_scrape_closes_socket () =
   let port = released_port () in
   let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
@@ -918,6 +924,7 @@ let suites =
         Alcotest.test_case "server v2 frame handling" `Slow test_server_v2_frames;
         Alcotest.test_case "server session overload" `Slow test_server_overload;
         Alcotest.test_case "push rejects bad arguments" `Quick test_push_rejects_bad_arguments;
+        Alcotest.test_case "server rejects a zero window" `Quick test_server_rejects_zero_window;
         Alcotest.test_case "scrape closes its socket on failure" `Quick test_scrape_closes_socket;
       ] );
   ]
