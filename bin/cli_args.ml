@@ -235,8 +235,8 @@ let threshold_arg =
     & opt float 0.55
     & info [ "t"; "threshold" ] ~docv:"P" ~doc:"Invalidation threshold in [0,1].")
 
-(* Writes already-rendered observability output; goes through the sink's
-   atomic temp-file path so a crash never leaves a partial artifact. *)
+(* Writes already-rendered output (OpenMetrics text, a JSON report) to
+   [path], truncating it. *)
 let write_text path text =
   let oc = open_out path in
   output_string oc text;

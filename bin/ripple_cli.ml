@@ -370,7 +370,7 @@ let trace_cmd =
     (match out with
     | None -> ()
     | Some path ->
-      Obs.Export.write Obs.Export.chrome_sink ~path obs;
+      Obs.Export.write ~path obs;
       Printf.printf "wrote %s\n" path);
     match metrics with
     | None -> ()

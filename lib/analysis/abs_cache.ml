@@ -494,9 +494,6 @@ let analyze ~geometry ~entry blocks =
 
 let facts t = t.facts
 
-(* [t.reach] covers the resume hub too; callers index by block id. *)
-let reachable t = Array.sub t.reach 0 (Array.length t.blocks)
-
 let persistent t ~set =
   set >= 0 && set < Array.length t.pers && t.pers.(set)
 

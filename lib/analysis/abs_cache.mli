@@ -88,9 +88,6 @@ val facts : t -> site_fact array array
     Blocks unreachable in the closed graph get an empty array (no
     claim is made about them). *)
 
-val reachable : t -> bool array
-(** Closed-graph reachability from the entry. *)
-
 val persistent : t -> set:int -> bool
 (** The set's reachable working set fits its associativity: no fill in
     it ever consults the replacement policy, so nothing is ever

@@ -7,17 +7,6 @@ let flow_successors (b : Basic_block.t) =
   | Basic_block.Indirect_call { callees; return_to } -> return_to :: Array.to_list callees
   | _ -> Basic_block.successors b
 
-let predecessors blocks =
-  let n = Array.length blocks in
-  let preds = Array.make n [] in
-  Array.iteri
-    (fun i b ->
-      List.iter
-        (fun s -> if s >= 0 && s < n then preds.(s) <- i :: preds.(s))
-        (flow_successors b))
-    blocks;
-  preds
-
 let reachable ~entry blocks =
   let n = Array.length blocks in
   let seen = Array.make n false in
@@ -33,16 +22,6 @@ let reachable ~entry blocks =
     end
   done;
   seen
-
-let exits blocks =
-  let acc = ref [] in
-  Array.iter
-    (fun (b : Basic_block.t) ->
-      match b.Basic_block.term with
-      | Basic_block.Return | Basic_block.Halt -> acc := b.Basic_block.id :: !acc
-      | _ -> ())
-    blocks;
-  List.rev !acc
 
 (* ---------------------------- structural ---------------------------- *)
 

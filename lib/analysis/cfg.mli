@@ -12,6 +12,9 @@
     dataflow passes in infeasible paths (DESIGN.md, "Static
     verification").
 
+    Passes that walk the graph backwards build their own transpose of
+    {!flow_successors} over the blocks they care about.
+
     Structural checks ({!check}) operate on a raw block array so tests
     can probe deliberately corrupted inputs that {!Ripple_isa.Program.v}
     refuses to construct. *)
@@ -23,19 +26,6 @@ val flow_successors : Basic_block.t -> int list
     and indirect) call terminators.  May contain out-of-range ids when
     the block is corrupt; {!check} flags those. *)
 
-val predecessors : Basic_block.t array -> int list array
-(** Predecessor lists under {!flow_successors}.  Out-of-range successor
-    ids are ignored (the structural layer reports them). *)
-
-val reachable : entry:int -> Basic_block.t array -> bool array
-(** Depth-first reachability from [entry] under {!flow_successors}.
-    Out-of-range ids (including a bad [entry]) are skipped, never
-    raised. *)
-
-val exits : Basic_block.t array -> int list
-(** Ids of [Return] and [Halt] blocks — the sinks a post-dominator
-    computation hangs its virtual exit on. *)
-
 val check : entry:int -> ?aligned:bool array -> Basic_block.t array -> Finding.t list
 (** Layer 1 of the linter: structural invariants.
 
@@ -46,6 +36,7 @@ val check : entry:int -> ?aligned:bool array -> Basic_block.t array -> Finding.t
     ranges; blocks with [aligned.(i)] set whose address is not
     {!Ripple_isa.Program.block_alignment}-aligned.
 
-    Warnings: blocks unreachable from [entry] in the flow graph
-    (orphans).  Reachability is only judged when no dangling-edge or
+    Infos: blocks unreachable from [entry] in the flow graph (orphans;
+    the generator legitimately emits landing blocks no static edge
+    reaches).  Reachability is only judged when no dangling-edge or
     entry error was found — on a broken graph it would be noise. *)

@@ -98,11 +98,3 @@ let of_blocks ~entry blocks =
   let n = Array.length blocks in
   compute ~n ~entry ~succs:(fun i -> Cfg.flow_successors blocks.(i))
 
-let post_of_blocks blocks =
-  let n = Array.length blocks in
-  let preds = Cfg.predecessors blocks in
-  let exits = Cfg.exits blocks in
-  (* Reversed graph: successors of a block are its flow predecessors;
-     the virtual exit node [n] fans out to every Return/Halt sink. *)
-  let succs i = if i = n then exits else preds.(i) in
-  compute ~n:(n + 1) ~entry:n ~succs

@@ -1,4 +1,4 @@
-(** Dominator and post-dominator trees over the block flow graph.
+(** Dominator trees over the block flow graph.
 
     Implementation: the Cooper–Harvey–Kennedy iterative algorithm —
     reverse-postorder sweeps intersecting predecessor dominators until
@@ -9,10 +9,8 @@
     against an invalidation that {e dominates} it.
 
     The module is graph-agnostic: callers hand in a successor function
-    over dense int nodes.  {!of_blocks} and {!post_of_blocks} wire the
-    two instances the linter needs (forward dominance from the program
-    entry; post-dominance as dominance of the reversed graph rooted at
-    a virtual exit over all [Return]/[Halt] blocks). *)
+    over dense int nodes.  {!of_blocks} wires the instance the
+    classifier needs: forward dominance from the program entry. *)
 
 module Basic_block := Ripple_isa.Basic_block
 
@@ -34,9 +32,3 @@ val dominates : t -> dom:int -> int -> bool
 val of_blocks : entry:int -> Basic_block.t array -> t
 (** Forward dominance under {!Cfg.flow_successors}. *)
 
-val post_of_blocks : Basic_block.t array -> t
-(** Post-dominance: dominance of the edge-reversed flow graph from a
-    virtual exit node (index [Array.length blocks]) with an edge to
-    every [Return]/[Halt] block.  [dominates ~dom:x y] then reads "every
-    path from [y] to program exit passes through [x]"; the virtual exit
-    itself is a valid query node. *)

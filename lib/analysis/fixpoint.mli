@@ -54,6 +54,6 @@ module Make (D : DOMAIN) : sig
       by chaotic iteration from the [entries].  Deterministic: the
       worklist is FIFO and seeded in the given entry order, so equal
       inputs produce identical iteration counts and results.
-      Out-of-range predecessor indices are ignored (consistent with
-      {!Cfg.predecessors}). *)
+      Out-of-range predecessor indices are ignored, as {!Cfg.check}
+      reports them. *)
 end

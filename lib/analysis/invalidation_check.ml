@@ -33,11 +33,12 @@ let sites_of blocks =
 (* The per-call tables every per-line and per-hint pass reads, built
    once over the hinted lines only.  [succs] are the in-range flow
    successors in {!Cfg.flow_successors} order (the harmful search's
-   exploration order depends on it); [roots] are the blocks with no
-   flow predecessor; [hinting.(k)] lists the blocks hinting line [k] in
-   site order, each once. *)
+   exploration order depends on it) and [preds] their transpose;
+   [roots] are the blocks with no flow predecessor; [hinting.(k)] lists
+   the blocks hinting line [k] in site order, each once. *)
 type tables = {
   succs : int array array;
+  preds : int array array;
   lines : Addr.line array array;
   roots : int array;
   line_index : (Addr.line, int) Hashtbl.t;
@@ -55,9 +56,19 @@ let tables blocks sites =
   let lines = Array.map (fun b -> Array.of_list (Basic_block.lines b)) blocks in
   let indegree = Array.make n 0 in
   Array.iter (Array.iter (fun s -> indegree.(s) <- indegree.(s) + 1)) succs;
+  (* [indegree] counts down as each block's predecessor slots fill. *)
+  let preds = Array.map (fun d -> Array.make d 0) indegree in
+  Array.iteri
+    (fun b ss ->
+      Array.iter
+        (fun s ->
+          indegree.(s) <- indegree.(s) - 1;
+          preds.(s).(indegree.(s)) <- b)
+        ss)
+    succs;
   let roots = ref [] in
   for i = n - 1 downto 0 do
-    if indegree.(i) = 0 then roots := i :: !roots
+    if preds.(i) = [||] then roots := i :: !roots
   done;
   let line_index = Hashtbl.create 64 in
   List.iter
@@ -85,6 +96,7 @@ let tables blocks sites =
   done;
   {
     succs;
+    preds;
     lines;
     roots = Array.of_list !roots;
     line_index;
@@ -149,6 +161,30 @@ let must_invalidated t s k =
   done;
   gen
 
+(* Backward may-reference walk for hinted line [k]: the line is live on
+   entry to a block when some path from it reaches a block that
+   references the line without first crossing a block that hints it.
+   The walk starts at the referencing blocks and steps to predecessors,
+   never entering a hinting block; a block that both references and
+   hints the line is a start, not a stop, because its code runs before
+   its hints.  Returns the generation: afterwards the line is live
+   after block [b] iff [s.seen.(x) = gen] for some successor [x]. *)
+let live t s k =
+  let gen = fresh t s k and top = ref 0 in
+  let enter b =
+    s.seen.(b) <- gen;
+    s.stack.(!top) <- b;
+    incr top
+  in
+  Array.iter enter t.referencing.(k);
+  while !top > 0 do
+    decr top;
+    Array.iter
+      (fun p -> if s.seen.(p) <> gen && s.mark.(p) <> gen then enter p)
+      t.preds.(s.stack.(!top))
+  done;
+  gen
+
 (* Bounded forward search from the hint: can the victim line be
    re-referenced while fewer than [ways] distinct same-set lines have
    been touched?  States are explored in order of accumulated conflict
@@ -206,30 +242,32 @@ let classify ~geometry ~entry blocks =
   match sites_of blocks with
   | [] -> []
   | sites ->
-    let tracked = Array.of_list (List.map (fun s -> s.line) sites) in
-    let liveness = Liveness.compute ~blocks ~tracked in
     let dominance = Dominance.of_blocks ~entry blocks in
     let t = tables blocks sites in
     let s = scratch (Array.length blocks) in
-    (* Per site: its line's index and whether the line is hint-dead on
-       every path into the site's block, one reachability walk per
-       distinct line. *)
+    (* Per site: its line's index, whether the line is hint-dead on
+       every path into the site's block, and whether it is live after
+       the block; one walk each way per distinct line. *)
     let sites = Array.of_list sites in
     let line_of = Array.map (fun site -> Hashtbl.find t.line_index site.line) sites in
     let by_line = Array.make (Array.length t.hinting) [] in
     Array.iteri (fun i k -> by_line.(k) <- i :: by_line.(k)) line_of;
     let must = Array.make (Array.length sites) false in
+    let live_after = Array.make (Array.length sites) false in
     Array.iteri
       (fun k is ->
         let gen = must_invalidated t s k in
-        List.iter (fun i -> must.(i) <- s.seen.(sites.(i).block) <> gen) is)
+        List.iter (fun i -> must.(i) <- s.seen.(sites.(i).block) <> gen) is;
+        let gen = live t s k in
+        List.iter
+          (fun i ->
+            live_after.(i) <- Array.exists (fun x -> s.seen.(x) = gen) t.succs.(sites.(i).block))
+          is)
       by_line;
-    let reason site k =
+    let reason i site k =
       match find_harmful ~geometry t s ~start:site.block ~line:site.line ~k with
       | Some (reuse_block, conflicts) -> Harmful { reuse_block; conflicts }
-      | None ->
-        if Liveness.live_out liveness ~block:site.block ~line:site.line then Safe_pressure
-        else Safe_dead
+      | None -> if live_after.(i) then Safe_pressure else Safe_dead
     in
     Array.to_list
       (Array.mapi
@@ -262,9 +300,9 @@ let classify ~geometry ~entry blocks =
                     witness (e.g. both arms of a diamond hint the line):
                     still safe, fall through to the reachability
                     reasons. *)
-                 reason site k
+                 reason i site k
              end
-             else reason site k
+             else reason i site k
            in
            (site, classification))
          sites)

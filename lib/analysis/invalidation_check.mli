@@ -16,25 +16,30 @@
       converts a likely hit into a miss ([reuse_block] and the conflict
       count witness the path).
     - {b Safe} — neither of the above, split by reason: [Safe_dead]
-      when no path re-references the line at all (accounting for
-      re-invalidations in between), [Safe_pressure] when every path to
-      a re-reference first touches at least [ways] distinct same-set
-      lines — by then the victim is past its ideal eviction point and
-      would have been evicted anyway.
+      when no path re-references the line before another hint on it,
+      [Safe_pressure] when every path to a re-reference first touches
+      at least [ways] distinct same-set lines — by then the victim is
+      past its ideal eviction point and would have been evicted
+      anyway.
 
     The conflict count along a path is explored lowest-first and
     memoised per block, so the search visits each block at most [ways]
     times; paths are pruned once they saturate the set's associativity
     or cross another hint on the same line.
 
-    Redundancy's all-paths fact is the complement of one forward
-    may-reachability per distinct hinted line: from the roots and from
-    just after every unhinted block that references the line, stopping
-    at blocks that hint it, and ending once every hinting block has
-    been reached (only those are ever asked).  The successor, line,
-    line → referencing-blocks and line → hinting-blocks tables are
-    built once per {!classify} call, and not at all for a program
-    without hints; the harmful search and the dominating-witness lookup
+    Each distinct hinted line gets two walks, both stopped at the
+    blocks that hint it.  Redundancy's all-paths fact is the complement
+    of one forward may-reachability: from the roots and from just after
+    every unhinted block that references the line, ending once every
+    hinting block has been reached (only those are ever asked).  The
+    dead/pressure split is one backward walk from the referencing
+    blocks over the predecessors, never entering a hinting block unless
+    it references the line too (a block's code runs before its hints);
+    the line is live after a hint iff the walk reached a successor of
+    its block.  The successor, predecessor, line, line →
+    referencing-blocks and line → hinting-blocks tables are built once
+    per {!classify} call, and not at all for a program without hints;
+    the walks, the harmful search and the dominating-witness lookup
     read the same tables and share one generation-stamped scratch
     array, so a call allocates nothing per hint beyond its search
     queue.

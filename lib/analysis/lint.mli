@@ -7,11 +7,10 @@
     + structural CFG checks ({!Cfg.check}) — [Error]s here gate the
       rest: semantic passes over a graph with dangling edges or bogus
       layout would only add noise, so they are skipped;
-    + dominator/post-dominator trees ({!Dominance}) — consumed by the
-      hint classification (redundancy witnesses);
-    + cache-line liveness and hint classification ({!Liveness},
-      {!Invalidation_check}) — every injected hint is classified
-      safe/harmful/redundant;
+    + the dominator tree ({!Dominance}) — consumed by the hint
+      classification (redundancy witnesses);
+    + hint classification ({!Invalidation_check}) — every injected
+      hint is classified safe/harmful/redundant;
     + abstract cache interpretation ({!Abs_cache}) — must/may/
       persistence facts, a proof verdict per hint, static MPKI bounds,
       and a cross-check: whenever the path-search classification and

@@ -8,11 +8,6 @@ let prefetch ~line ~block = { line; kind = Prefetch; pc = line; block }
 let is_demand t = t.kind = Demand
 let is_prefetch t = t.kind = Prefetch
 
-let pp fmt t =
-  Format.fprintf fmt "%s %a (bb%d)"
-    (match t.kind with Demand -> "D" | Prefetch -> "P")
-    Addr.pp_line t.line t.block
-
 (* ------------------------------ packed ------------------------------ *)
 
 type packed = int

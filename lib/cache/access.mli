@@ -27,8 +27,6 @@ val prefetch : line:Addr.line -> block:int -> t
 val is_demand : t -> bool
 val is_prefetch : t -> bool
 
-val pp : Format.formatter -> t -> unit
-
 (** {1 Packed form}
 
     The same information squeezed into one immediate [int], so access

@@ -24,7 +24,6 @@ let iteri_rev = Int_stream.iteri_rev
 let fold_left = Int_stream.fold_left
 let backing t = if Int_stream.is_spill t then Spill { dir = None } else Heap
 let is_spill = Int_stream.is_spill
-let byte_size = Int_stream.byte_size
 let close = Int_stream.close
 let raw t = t
 

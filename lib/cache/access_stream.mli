@@ -64,9 +64,6 @@ val backing : t -> backing
 
 val is_spill : t -> bool
 
-val byte_size : t -> int
-(** Bytes of backing storage ([8 * length] for either backing). *)
-
 val close : t -> unit
 (** Unlinks the spill file backing this stream (idempotent; no-op for
     heap streams).  Reads stay valid until the stream is collected —

@@ -6,7 +6,6 @@ let st_hinted = 1 (* emptied by a Ripple invalidation *)
 let st_valid = 2
 
 type t = {
-  name : string;
   geom : Geometry.t;
   sets : int;
   ways : int;
@@ -19,12 +18,10 @@ type t = {
 
 type result = Hit | Miss
 
-let create ?name ~geometry ~policy () =
+let create ~geometry ~policy () =
   let sets = Geometry.sets geometry and ways = geometry.Geometry.ways in
   let policy = policy ~sets ~ways in
-  let name = match name with Some n -> n | None -> policy.Policy.name in
   {
-    name;
     geom = geometry;
     sets;
     ways;
@@ -35,9 +32,7 @@ let create ?name ~geometry ~policy () =
     seen = Hashtbl.create 65536;
   }
 
-let geometry t = t.geom
 let stats t = t.stats
-let policy_name t = t.name
 let duel t = t.policy.Policy.duel
 let may_bypass t = t.policy.Policy.may_bypass
 

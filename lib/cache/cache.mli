@@ -21,10 +21,8 @@ type t
 
 type result = Hit | Miss
 
-val create : ?name:string -> geometry:Geometry.t -> policy:Policy.factory -> unit -> t
-val geometry : t -> Geometry.t
+val create : geometry:Geometry.t -> policy:Policy.factory -> unit -> t
 val stats : t -> Stats.t
-val policy_name : t -> string
 
 val duel : t -> Dueling.t option
 (** The policy's set-dueling component, when it has one — read-only

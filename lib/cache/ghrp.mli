@@ -14,6 +14,3 @@
     alive. *)
 
 val make : ?fixed:bool -> unit -> Policy.factory
-
-val history_bits : int
-val table_entries : int

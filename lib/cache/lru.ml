@@ -1,3 +1,4 @@
+(* Table I charges LRU one bit per line. *)
 let storage_bits ~sets ~ways = sets * ways
 
 let make ~sets ~ways =

@@ -5,7 +5,3 @@
     "reducing LRU priority" variant of Ripple's hint. *)
 
 val make : Policy.factory
-
-val storage_bits : sets:int -> ways:int -> int
-(** Metadata accounting used for Table I (the paper charges LRU one bit
-    per line). *)

@@ -105,11 +105,3 @@ let demand_miss_ratio t =
 let coverage t =
   if t.replacement_decisions = 0 then 0.0
   else Float.of_int t.hinted_fills /. Float.of_int t.replacement_decisions
-
-let pp fmt t =
-  Format.fprintf fmt
-    "@[demand %d/%d miss (%d cold), prefetch %d (%d fills), evict %d, repl %d, hinted %d,@ \
-     inval %d+%d, demote %d, bypass %d@]"
-    t.demand_misses t.demand_accesses t.demand_misses_cold t.prefetch_accesses t.prefetch_fills
-    t.evictions t.replacement_decisions t.hinted_fills t.invalidate_hits t.invalidate_misses
-    t.demotes t.fill_bypasses

@@ -51,5 +51,3 @@ val demand_miss_ratio : t -> float
 val coverage : t -> float
 (** Fraction of replacement decisions initiated by Ripple invalidations
     ([hinted_fills / replacement_decisions]); 0 when no decisions. *)
-
-val pp : Format.formatter -> t -> unit

@@ -30,6 +30,8 @@ module Degrade = struct
   type level = Full | Safe_only | Hints_off
 
   let level_name = function Full -> "full" | Safe_only -> "safe-only" | Hints_off -> "off"
+  let code = function Full -> 0 | Safe_only -> 1 | Hints_off -> 2
+  let of_code = function 0 -> Full | 1 -> Safe_only | _ -> Hints_off
 
   type t = {
     level : level;
@@ -449,11 +451,6 @@ type outcome = {
   metrics : Obs.Snapshot.t;
 }
 
-let degrade_level_code = function
-  | Degrade.Full -> 0.0
-  | Degrade.Safe_only -> 1.0
-  | Degrade.Hints_off -> 2.0
-
 let register_metrics reg = ignore (Metrics.register reg : Metrics.t)
 
 (* One end-to-end run: the six instrumented stages (decode → profile →
@@ -492,7 +489,7 @@ let run ?obs (o : Options.t) ~source input =
     else Degrade.Full
   in
   Obs.Metric.set m.Metrics.profile_drift drift;
-  Obs.Metric.set m.Metrics.degrade_level (degrade_level_code level);
+  Obs.Metric.set m.Metrics.degrade_level (float_of_int (Degrade.code level));
   let degrade_record ~stripped =
     { Degrade.level; fingerprint_ok; salvage = profile.salvage; drift; stripped }
   in

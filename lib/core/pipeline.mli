@@ -43,6 +43,13 @@ module Degrade : sig
   val level_name : level -> string
   (** ["full"], ["safe-only"], ["off"]. *)
 
+  val code : level -> int
+  (** The rung as a number: [0] full, [1] safe-only, [2] off — the
+      ladder gauges' value and the serve snapshot's [level] field. *)
+
+  val of_code : int -> level
+  (** Inverse of {!code}; any other number reads as [Hints_off]. *)
+
   type t = {
     level : level;
     fingerprint_ok : bool;  (** profile layout matches the target binary *)

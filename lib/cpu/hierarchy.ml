@@ -7,8 +7,8 @@ type served = L2 | L3 | Memory
 
 let create (config : Config.t) =
   {
-    l2 = Cache.create ~name:"l2" ~geometry:config.Config.l2 ~policy:Lru.make ();
-    l3 = Cache.create ~name:"l3" ~geometry:config.Config.l3 ~policy:Lru.make ();
+    l2 = Cache.create ~geometry:config.Config.l2 ~policy:Lru.make ();
+    l3 = Cache.create ~geometry:config.Config.l3 ~policy:Lru.make ();
   }
 
 let fetch t line =

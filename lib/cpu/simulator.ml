@@ -525,37 +525,38 @@ let record_stream_indexed ?config ~program ~trace ~prefetcher () =
 let record_stream ?config ~program ~trace ~prefetcher () =
   fst (record_stream_indexed ?config ~program ~trace ~prefetcher ())
 
-(* Assemble an oracle result from a finished Belady replay: drive the
-   L2/L3 hierarchy with the recorded fill sequence (in stream order, as
-   [on_fill] would have during the replay) and charge the demand-fill
-   penalties of the measured region. *)
-let oracle_result ?(config = Config.default) ~instructions ~count_from ~stream
-    (res : Belady.result) =
+(* The L2/L3 side of an oracle run: [fill ~index acc] drives the
+   hierarchy with one L1i fill, in stream order, and charges the
+   penalty of a demand fill in the measured region; [result res]
+   assembles the timing result from the Belady counters and the
+   charges so far. *)
+let oracle_charge ~config ~instructions ~count_from =
   let hierarchy = Hierarchy.create config in
   let miss_cycles = ref 0 in
   let l2_served = ref 0 and l3_served = ref 0 and mem_served = ref 0 in
-  Array.iter
-    (fun index ->
-      let acc = Access_stream.get stream index in
-      let served = Hierarchy.fetch hierarchy (Access.packed_line acc) in
-      if Access.packed_is_demand acc && index >= count_from then begin
-        (match served with
-        | Hierarchy.L2 -> incr l2_served
-        | Hierarchy.L3 -> incr l3_served
-        | Hierarchy.Memory -> incr mem_served);
-        miss_cycles := !miss_cycles + Hierarchy.penalty config served
-      end)
-    res.Belady.fills;
-  let stats = Stats.create () in
-  stats.Stats.demand_accesses <- res.Belady.demand_accesses;
-  stats.Stats.demand_misses <- res.Belady.demand_misses;
-  stats.Stats.demand_misses_cold <- res.Belady.demand_misses_cold;
-  stats.Stats.prefetch_accesses <- res.Belady.prefetch_accesses;
-  stats.Stats.prefetch_fills <- res.Belady.prefetch_fills;
-  stats.Stats.evictions <- res.Belady.n_evictions;
-  stats.Stats.replacement_decisions <- res.Belady.n_evictions;
-  finish ~config ~instructions ~hint_instructions:0 ~miss_cycles:(Float.of_int !miss_cycles)
-    ~l1i:stats ~l2_served:!l2_served ~l3_served:!l3_served ~mem_served:!mem_served
+  let fill ~index (acc : Access.packed) =
+    let served = Hierarchy.fetch hierarchy (Access.packed_line acc) in
+    if Access.packed_is_demand acc && index >= count_from then begin
+      (match served with
+      | Hierarchy.L2 -> incr l2_served
+      | Hierarchy.L3 -> incr l3_served
+      | Hierarchy.Memory -> incr mem_served);
+      miss_cycles := !miss_cycles + Hierarchy.penalty config served
+    end
+  in
+  let result (res : Belady.result) =
+    let stats = Stats.create () in
+    stats.Stats.demand_accesses <- res.Belady.demand_accesses;
+    stats.Stats.demand_misses <- res.Belady.demand_misses;
+    stats.Stats.demand_misses_cold <- res.Belady.demand_misses_cold;
+    stats.Stats.prefetch_accesses <- res.Belady.prefetch_accesses;
+    stats.Stats.prefetch_fills <- res.Belady.prefetch_fills;
+    stats.Stats.evictions <- res.Belady.n_evictions;
+    stats.Stats.replacement_decisions <- res.Belady.n_evictions;
+    finish ~config ~instructions ~hint_instructions:0 ~miss_cycles:(Float.of_int !miss_cycles)
+      ~l1i:stats ~l2_served:!l2_served ~l3_served:!l3_served ~mem_served:!mem_served
+  in
+  (fill, result)
 
 let stream_count_from ~stream_pos ~warmup =
   (* First stream index belonging to the measured region. *)
@@ -572,41 +573,20 @@ let oracle ?(config = Config.default) ?(warmup = 0) ?stream ?replay ~mode ~progr
   in
   let count_from = stream_count_from ~stream_pos ~warmup in
   let instructions = instructions_from ~program ~trace ~warmup in
+  let fill, result = oracle_charge ~config ~instructions ~count_from in
   match replay with
   | Some (res : Belady.result) ->
-    (* A sharded (or otherwise precomputed) Belady replay: the recorded
-       fill sequence substitutes for the inline [on_fill] hierarchy
-       drive, byte-identically. *)
-    oracle_result ~config ~instructions ~count_from ~stream res
+    (* A sharded (or otherwise precomputed) Belady replay: its recorded
+       fill sequence drives the hierarchy as the inline [on_fill] would
+       have, byte-identically. *)
+    Array.iter (fun index -> fill ~index (Access_stream.get stream index)) res.Belady.fills;
+    result res
   | None ->
-    let hierarchy = Hierarchy.create config in
-    let miss_cycles = ref 0 in
-    let l2_served = ref 0 and l3_served = ref 0 and mem_served = ref 0 in
-    let on_fill ~index (acc : Access.packed) =
-      let served = Hierarchy.fetch hierarchy (Access.packed_line acc) in
-      if Access.packed_is_demand acc && index >= count_from then begin
-        (match served with
-        | Hierarchy.L2 -> incr l2_served
-        | Hierarchy.L3 -> incr l3_served
-        | Hierarchy.Memory -> incr mem_served);
-        miss_cycles := !miss_cycles + Hierarchy.penalty config served
-      end
-    in
     (* The timing replay only needs counters and the fill callback — not
        the boxed eviction records, which would otherwise be the last
        O(n)-in-the-heap structure on the paper-scale oracle path. *)
     let res =
-      Belady.simulate ~record_evictions:false ~on_fill ~count_from config.Config.l1i ~mode
+      Belady.simulate ~record_evictions:false ~on_fill:fill ~count_from config.Config.l1i ~mode
         stream
     in
-    let stats = Stats.create () in
-    stats.Stats.demand_accesses <- res.Belady.demand_accesses;
-    stats.Stats.demand_misses <- res.Belady.demand_misses;
-    stats.Stats.demand_misses_cold <- res.Belady.demand_misses_cold;
-    stats.Stats.prefetch_accesses <- res.Belady.prefetch_accesses;
-    stats.Stats.prefetch_fills <- res.Belady.prefetch_fills;
-    stats.Stats.evictions <- res.Belady.n_evictions;
-    stats.Stats.replacement_decisions <- res.Belady.n_evictions;
-    finish ~config ~instructions ~hint_instructions:0
-      ~miss_cycles:(Float.of_int !miss_cycles) ~l1i:stats ~l2_served:!l2_served
-      ~l3_served:!l3_served ~mem_served:!mem_served
+    result res

@@ -22,22 +22,6 @@ val ranges : sets:int -> shards:int -> (int * int) array
 (** The contiguous [\[lo, hi)] set ranges [shards] shards cover
     ([shards] clamped to [1 .. sets]); exposed for tests. *)
 
-val replay :
-  ?config:Config.t ->
-  ?shards:int ->
-  ?backing:Ripple_util.Int_stream.backing ->
-  ?count_from:int ->
-  ?record_evictions:bool ->
-  mode:Belady.mode ->
-  Access_stream.t ->
-  Belady.result
-(** The sharded ideal-policy replay itself, fills recorded ([shards]
-    defaults to 2; [backing] places the shared lookahead tables;
-    [count_from] is the first counted stream index and
-    [record_evictions] (default [true]) whether boxed eviction records
-    are kept, as in {!Ripple_cache.Belady.simulate}).  Raises [Failure]
-    if a shard job dies. *)
-
 val oracle :
   ?config:Config.t ->
   ?shards:int ->

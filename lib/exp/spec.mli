@@ -56,17 +56,9 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
-val kind_name : kind -> string
-(** ["lru"], ["ideal-cache"], ["oracle"], ["ripple:lru@0.55"], … *)
-
 val to_string : t -> string
 (** Stable, human-readable cell key, e.g.
     ["cassandra/fdip/ripple:lru@0.55/n=4000000/i=eval0/s=1234"]. *)
-
-val policy_name : t -> string option
-(** The registry policy spec the cell runs under, if any — parameter
-    overrides included, exactly as recorded in the JSONL [policy]
-    field. *)
 
 val threshold : t -> float option
 

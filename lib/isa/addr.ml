@@ -22,5 +22,4 @@ let set_index line ~sets =
   assert (sets > 0 && sets land (sets - 1) = 0);
   line land (sets - 1)
 
-let pp fmt addr = Format.fprintf fmt "0x%x" addr
 let pp_line fmt line = Format.fprintf fmt "L:0x%x" (base_of_line line)

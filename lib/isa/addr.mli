@@ -36,8 +36,5 @@ val set_index : line -> sets:int -> int
 (** [set_index line ~sets] maps a line to a cache set by the usual
     modulo indexing.  Requires [sets] to be a power of two. *)
 
-val pp : Format.formatter -> t -> unit
-(** Hexadecimal rendering, e.g. [0x401a40]. *)
-
 val pp_line : Format.formatter -> line -> unit
 (** Renders the line's base address, e.g. [L:0x401a40]. *)

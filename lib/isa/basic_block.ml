@@ -47,21 +47,3 @@ let is_conditional b = match b.term with Cond _ -> true | _ -> false
 let is_indirect b =
   match b.term with Indirect _ | Indirect_call _ | Return -> true | _ -> false
 
-let pp_term fmt = function
-  | Fallthrough next -> Format.fprintf fmt "fallthrough->%d" next
-  | Jump target -> Format.fprintf fmt "jmp->%d" target
-  | Cond { taken; fallthrough } -> Format.fprintf fmt "cond(%d|%d)" taken fallthrough
-  | Indirect targets -> Format.fprintf fmt "ijmp(%d targets)" (Array.length targets)
-  | Call { callee; return_to } -> Format.fprintf fmt "call %d ret %d" callee return_to
-  | Indirect_call { callees; return_to } ->
-    Format.fprintf fmt "icall(%d callees) ret %d" (Array.length callees) return_to
-  | Return -> Format.fprintf fmt "ret"
-  | Halt -> Format.fprintf fmt "halt"
-
-let pp fmt b =
-  Format.fprintf fmt "@[bb%d@%a %dB %di%s%s %a%s@]" b.id Addr.pp b.addr b.bytes b.n_instrs
-    (match b.privilege with User -> "" | Kernel -> " kernel")
-    (if b.jit then " jit" else "")
-    pp_term b.term
-    (if Array.length b.hints = 0 then ""
-     else Printf.sprintf " +%d hints" (Array.length b.hints))

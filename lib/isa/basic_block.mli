@@ -72,5 +72,3 @@ val is_indirect : t -> bool
 (** Whether the terminator's target is resolved indirectly (indirect
     jumps/calls and returns) — the hard-to-prefetch cases for a
     branch-predictor-guided prefetcher (§II-C, Observation #2). *)
-
-val pp : Format.formatter -> t -> unit

@@ -44,8 +44,6 @@ let set_term t id term =
   assert (id >= 0 && id < t.count);
   t.protos.(id).term <- term
 
-let n_blocks t = t.count
-
 let straight_line t ?(privilege = Basic_block.User) ?(jit = false) ~bytes_per_block ~n () =
   assert (n > 0);
   let first = t.count in

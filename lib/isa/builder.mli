@@ -26,8 +26,6 @@ val block :
 val set_term : t -> int -> Basic_block.terminator -> unit
 (** Patches the terminator of an already-allocated block. *)
 
-val n_blocks : t -> int
-
 val straight_line : t -> ?privilege:Basic_block.privilege -> ?jit:bool -> bytes_per_block:int -> n:int -> unit -> int * int
 (** [straight_line b ~bytes_per_block ~n ()] allocates a chain of [n]
     fall-through blocks and returns [(first_id, last_id)].  The last block

@@ -1,7 +1,5 @@
 module Json = Ripple_util.Json
 
-type sink = { name : string; extension : string; render : Run.t -> string }
-
 let us ~epoch t = Json.Float (1e6 *. (t -. epoch))
 
 let span_event ~epoch (c : Span.closed) =
@@ -43,7 +41,7 @@ let process_meta ~pid name =
       ("args", Json.Obj [ ("name", Json.String name) ]);
     ]
 
-let chrome_trace run =
+let trace_events run =
   let spans = Run.spans run in
   let epoch = Span.epoch spans in
   let span_events = List.map (span_event ~epoch) (Span.closed spans) in
@@ -62,15 +60,10 @@ let chrome_trace run =
       ("displayTimeUnit", Json.String "ms");
     ]
 
-let chrome_sink =
-  {
-    name = "chrome-trace";
-    extension = ".json";
-    render = (fun run -> Json.to_string (chrome_trace run) ^ "\n");
-  }
+let chrome_trace run = Json.to_string (trace_events run) ^ "\n"
 
-let write sink ~path run =
-  let rendered = sink.render run in
+let write ~path run =
+  let rendered = chrome_trace run in
   let dir = Filename.dirname path in
   let tmp = Filename.temp_file ~temp_dir:dir (Filename.basename path ^ ".") ".tmp" in
   try

@@ -5,7 +5,7 @@
     snapshot is a pure function of the work performed, so the same
     experiment cell snapshots byte-identically whether it ran alone or
     on a 4-domain pool — the property the sweep JSONL [metrics] object
-    is built on.  Wall times live only in {!Export.chrome_sink}. *)
+    is built on.  Wall times live only in {!Export.chrome_trace}. *)
 
 type value =
   | Counter of int

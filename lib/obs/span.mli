@@ -11,7 +11,7 @@
     nondeterministic and are therefore {e excluded} from {!Snapshot}
     views — only structure (paths, counts, nesting) crosses into
     determinism-sensitive output; wall times surface solely through
-    {!Export.chrome_sink}. *)
+    {!Export.chrome_trace}. *)
 
 type t
 

@@ -29,8 +29,5 @@ type t = {
           window. *)
 }
 
-val nop_save : unit -> unit -> unit
-(** For stateless prefetchers. *)
-
 val none : t
 (** The no-prefetching baseline. *)

@@ -68,7 +68,6 @@ module Pipeline = Ripple_core.Pipeline
 module Finding = Ripple_analysis.Finding
 module Cfg = Ripple_analysis.Cfg
 module Dominance = Ripple_analysis.Dominance
-module Liveness = Ripple_analysis.Liveness
 module Fixpoint = Ripple_analysis.Fixpoint
 module Abs_cache = Ripple_analysis.Abs_cache
 module Invalidation_check = Ripple_analysis.Invalidation_check

@@ -135,7 +135,6 @@ let create config =
   Obs.Metric.set cells.sessions_gauge (Float.of_int (List.length t.sessions));
   t
 
-let obs t = t.obs
 let sessions t = t.sessions
 let find_session t name = List.find_opt (fun s -> Session.name s = name) t.sessions
 

@@ -74,7 +74,6 @@ val create : config -> t
     [ripple_serve_snapshots_recovered].  Raises [Invalid_argument] if
     [window < 1]. *)
 
-val obs : t -> Obs.Run.t
 val sessions : t -> Session.t list
 (** Name-sorted. *)
 

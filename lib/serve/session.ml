@@ -115,21 +115,6 @@ let last_outcome t = t.last
 let program t =
   match t.last with Some oc -> oc.Pipeline.program | None -> t.source
 
-let level_code = function
-  | Pipeline.Degrade.Full -> 0.0
-  | Pipeline.Degrade.Safe_only -> 1.0
-  | Pipeline.Degrade.Hints_off -> 2.0
-
-let level_int = function
-  | Pipeline.Degrade.Full -> 0
-  | Pipeline.Degrade.Safe_only -> 1
-  | Pipeline.Degrade.Hints_off -> 2
-
-let level_of_int = function
-  | 0 -> Pipeline.Degrade.Full
-  | 1 -> Pipeline.Degrade.Safe_only
-  | _ -> Pipeline.Degrade.Hints_off
-
 (* The merged profile right now: closed generations plus the in-flight
    one.  The in-flight capture counts only what has already decoded
    (expected := decoded), so a mid-capture re-emission is not punished
@@ -184,7 +169,7 @@ let emit ?(count = true) t =
     Obs.Metric.incr t.cells.reemissions
   end;
   t.since_emit <- 0;
-  Obs.Metric.set t.cells.ladder_level (level_code level);
+  Obs.Metric.set t.cells.ladder_level (float_of_int (Pipeline.Degrade.code level));
   Obs.Metric.set t.cells.salvage profile.Pipeline.salvage;
   Obs.Metric.set t.cells.drift degrade.Pipeline.Degrade.drift
 
@@ -193,7 +178,7 @@ let emit ?(count = true) t =
 let snapshot_state t =
   {
     Snapshot.app = t.name;
-    level = level_int t.level;
+    level = Pipeline.Degrade.code t.level;
     transitions = t.transitions;
     emissions = t.emissions;
     next_seq = t.next_seq;
@@ -277,11 +262,11 @@ let restore ?store ~obs ~options ~window ~reemit_every ~program (state : Snapsho
       Rolling.add t.rolling ~blocks:g.Snapshot.g_blocks ~expected:g.Snapshot.g_expected
         ~errors:g.Snapshot.g_errors)
     state.Snapshot.gens;
-  t.level <- level_of_int state.Snapshot.level;
+  t.level <- Pipeline.Degrade.of_code state.Snapshot.level;
   t.transitions <- state.Snapshot.transitions;
   t.emissions <- state.Snapshot.emissions;
   t.next_seq <- state.Snapshot.next_seq;
-  Obs.Metric.set t.cells.ladder_level (level_code t.level);
+  Obs.Metric.set t.cells.ladder_level (float_of_int (Pipeline.Degrade.code t.level));
   (* Re-run the pipeline over the recovered window so the instrumented
      binary (and the salvage/drift gauges) exist again without a client
      replaying history.  Deterministic, so the level matches the stored

@@ -64,10 +64,3 @@ let read bytes ~pos =
   end
   else if tag = tag_end then (End_of_trace, pos + 1)
   else invalid_arg "Packet.read: bad tag"
-
-let pp fmt = function
-  | Tnt bits ->
-    Format.fprintf fmt "TNT[%s]"
-      (String.concat "" (List.map (fun b -> if b then "T" else "N") (Array.to_list bits)))
-  | Tip addr -> Format.fprintf fmt "TIP[%a]" Ripple_isa.Addr.pp addr
-  | End_of_trace -> Format.fprintf fmt "END"

@@ -31,5 +31,3 @@ val write : Buffer.t -> t -> unit
 val read : bytes -> pos:int -> t * int
 (** Deserialises the packet at [pos], returning it and the next
     position.  Raises [Invalid_argument] on a malformed byte. *)
-
-val pp : Format.formatter -> t -> unit

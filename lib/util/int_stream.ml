@@ -130,8 +130,6 @@ let spill_path t =
   | Map m when not m.file.unlinked -> Some m.file.path
   | Map _ | Chunks _ -> None
 
-let byte_size t = word_bytes * t.length
-
 let close t =
   match t.storage with Map m -> unlink_spill m.file | Chunks _ -> ()
 

@@ -61,9 +61,6 @@ val is_spill : t -> bool
 val spill_path : t -> string option
 (** The stream's spill file, while it is still linked. *)
 
-val byte_size : t -> int
-(** Bytes of backing storage: [8 * length] for both backings. *)
-
 val close : t -> unit
 (** Unlinks the spill file (idempotent; no-op for heap streams).  The
     mapping — and therefore every read — stays valid until the stream

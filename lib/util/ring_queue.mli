@@ -40,9 +40,6 @@ val peek_or : 'a t -> default:'a -> 'a
 val clear : 'a t -> unit
 (** Empties the queue (used on pipeline flush / branch mispredict). *)
 
-val iter : ('a -> unit) -> 'a t -> unit
-(** Front-to-back iteration. *)
-
 val to_list : 'a t -> 'a list
 (** Front-to-back contents. *)
 

@@ -2,16 +2,134 @@
    before the per-line reachability tables.  [must_invalidated] is the
    dense round-robin must-analysis over every block, once per distinct
    hinted line; [find_harmful] allocates its per-block memo per hint and
-   reads successors and lines straight off the blocks.  It reaches the
-   same verdicts and witnesses by a route that shares none of the
-   tables, so the property tests can compare classifications exactly. *)
+   reads successors and lines straight off the blocks; the safe split
+   reads [Liveness], the whole-graph bitset fixpoint the classifier
+   used before its per-line backward walk.  It reaches the same
+   verdicts and witnesses by a route that shares none of the tables,
+   so the property tests can compare classifications exactly. *)
 
+module Addr = Ripple_isa.Addr
 module Basic_block = Ripple_isa.Basic_block
 module Geometry = Ripple_cache.Geometry
 module Cfg = Ripple_analysis.Cfg
 module Dominance = Ripple_analysis.Dominance
-module Liveness = Ripple_analysis.Liveness
 module Icheck = Ripple_analysis.Invalidation_check
+
+(* Predecessor lists under {!Cfg.flow_successors}; out-of-range
+   successor ids are ignored. *)
+let predecessors blocks =
+  let n = Array.length blocks in
+  let preds = Array.make n [] in
+  Array.iteri
+    (fun i b ->
+      List.iter
+        (fun s -> if s >= 0 && s < n then preds.(s) <- i :: preds.(s))
+        (Cfg.flow_successors b))
+    blocks;
+  preds
+
+(* Backward may-reference ("hit-liveness") dataflow over the tracked
+   lines: in(b) = gen(b) U (out(b) \ kill(b)), out(b) = U in(s) over
+   the flow successors, with gen the lines b's code touches and kill
+   the lines b's hints operate on.  Worklist fixpoint over bit-packed
+   sets. *)
+module Liveness = struct
+  type t = {
+    index : (Addr.line, int) Hashtbl.t;  (* tracked line -> bit index *)
+    words : int;  (* bitset words per block *)
+    live_in : int array;  (* n_blocks * words *)
+    live_out : int array;
+  }
+
+  let bits_per_word = Sys.int_size
+
+  let set_bit a ~base i =
+    let w = base + (i / bits_per_word) and b = i mod bits_per_word in
+    a.(w) <- a.(w) lor (1 lsl b)
+
+  let get_bit a ~base i =
+    let w = base + (i / bits_per_word) and b = i mod bits_per_word in
+    a.(w) land (1 lsl b) <> 0
+
+  let compute ~blocks ~tracked =
+    let index = Hashtbl.create (Array.length tracked * 2) in
+    Array.iter
+      (fun line ->
+        if not (Hashtbl.mem index line) then Hashtbl.add index line (Hashtbl.length index))
+      tracked;
+    let k = Hashtbl.length index in
+    let words = max 1 ((k + bits_per_word - 1) / bits_per_word) in
+    let n = Array.length blocks in
+    let live_in = Array.make (n * words) 0 and live_out = Array.make (n * words) 0 in
+    let gen = Array.make (n * words) 0 and kill = Array.make (n * words) 0 in
+    Array.iteri
+      (fun i (b : Basic_block.t) ->
+        let base = i * words in
+        List.iter
+          (fun line ->
+            match Hashtbl.find_opt index line with
+            | Some bit -> set_bit gen ~base bit
+            | None -> ())
+          (Basic_block.lines b);
+        Array.iter
+          (fun h ->
+            match Hashtbl.find_opt index (Basic_block.hint_line h) with
+            | Some bit -> set_bit kill ~base bit
+            | None -> ())
+          b.Basic_block.hints)
+      blocks;
+    let preds = predecessors blocks in
+    (* Worklist fixpoint, seeded with every block; backward flow, so a
+       change to in(b) re-queues b's predecessors. *)
+    let queued = Array.make n true in
+    let queue = Queue.create () in
+    for i = n - 1 downto 0 do
+      Queue.add i queue
+    done;
+    while not (Queue.is_empty queue) do
+      let i = Queue.pop queue in
+      queued.(i) <- false;
+      let base = i * words in
+      (* out(i) = union of in(s) *)
+      List.iter
+        (fun s ->
+          if s >= 0 && s < n then begin
+            let sbase = s * words in
+            for w = 0 to words - 1 do
+              live_out.(base + w) <- live_out.(base + w) lor live_in.(sbase + w)
+            done
+          end)
+        (Cfg.flow_successors blocks.(i));
+      (* in(i) = gen(i) | (out(i) & ~kill(i)) *)
+      let changed = ref false in
+      for w = 0 to words - 1 do
+        let v = gen.(base + w) lor (live_out.(base + w) land lnot kill.(base + w)) in
+        if v <> live_in.(base + w) then begin
+          live_in.(base + w) <- v;
+          changed := true
+        end
+      done;
+      if !changed then
+        List.iter
+          (fun p ->
+            if not queued.(p) then begin
+              queued.(p) <- true;
+              Queue.add p queue
+            end)
+          preds.(i)
+    done;
+    { index; words; live_in; live_out }
+
+  let lookup t a ~block ~line =
+    match Hashtbl.find_opt t.index line with
+    | None -> false
+    | Some bit ->
+      let n = Array.length a / t.words in
+      if block < 0 || block >= n then false else get_bit a ~base:(block * t.words) bit
+
+  let live_in t ~block ~line = lookup t t.live_in ~block ~line
+  let live_out t ~block ~line = lookup t t.live_out ~block ~line
+end
 
 let sites_of blocks =
   let acc = ref [] in
@@ -118,7 +236,7 @@ let classify ~geometry ~entry blocks =
   let tracked = Array.of_list (List.map (fun (s : Icheck.site) -> s.Icheck.line) sites) in
   let liveness = Liveness.compute ~blocks ~tracked in
   let dominance = Dominance.of_blocks ~entry blocks in
-  let preds = Cfg.predecessors blocks in
+  let preds = predecessors blocks in
   (* Per distinct line: must-invalidated state and the hinting blocks. *)
   let by_line = Hashtbl.create 64 in
   List.iter

@@ -1,5 +1,5 @@
 (* Tests for ripple.analysis: the static verifier — structural CFG
-   checks, dominators, hit-liveness, hint classification, the lint
+   checks, dominators, hint classification, the lint
    front door — plus the provenance/drop-accounting satellites it rides
    with (Injector placements, Cue_block.analyze_report, the pipeline
    verify gate). *)
@@ -14,7 +14,6 @@ module Json = Ripple_util.Json
 module Finding = Ripple_analysis.Finding
 module Cfg = Ripple_analysis.Cfg
 module Dominance = Ripple_analysis.Dominance
-module Liveness = Ripple_analysis.Liveness
 module Icheck = Ripple_analysis.Invalidation_check
 module Lint = Ripple_analysis.Lint
 module Eviction_window = Ripple_core.Eviction_window
@@ -151,64 +150,6 @@ let test_dominance_loop_and_unreachable () =
   checkb "unreachable has no idom" true (Dominance.idom d 4 = None);
   checkb "nothing dominates unreachable" false (Dominance.dominates d ~dom:0 4)
 
-let test_post_dominance () =
-  let blocks =
-    [|
-      mk ~id:0 ~addr:(at 0) (Basic_block.Cond { taken = 1; fallthrough = 2 });
-      mk ~id:1 ~addr:(at 1) (Basic_block.Jump 3);
-      mk ~id:2 ~addr:(at 2) (Basic_block.Jump 3);
-      mk ~id:3 ~addr:(at 3) Basic_block.Return;
-    |]
-  in
-  let pd = Dominance.post_of_blocks blocks in
-  checkb "join post-dominates fork" true (Dominance.dominates pd ~dom:3 0);
-  checkb "arm does not post-dominate fork" false (Dominance.dominates pd ~dom:1 0);
-  (* The virtual exit (index n) post-dominates everything. *)
-  checkb "virtual exit post-dominates" true (Dominance.dominates pd ~dom:4 0)
-
-(* ---------------------------- liveness ------------------------------ *)
-
-let test_liveness_chain () =
-  let blocks =
-    [|
-      mk ~id:0 ~addr:(at 0) (Basic_block.Fallthrough 1);
-      mk ~id:1 ~addr:(at 1) (Basic_block.Fallthrough 2);
-      mk ~id:2 ~addr:(at 2) Basic_block.Halt;
-    |]
-  in
-  let l = Liveness.compute ~blocks ~tracked:[| line_at 2 |] in
-  checkb "live at distance" true (Liveness.live_in l ~block:0 ~line:(line_at 2));
-  checkb "live at use" true (Liveness.live_in l ~block:2 ~line:(line_at 2));
-  checkb "dead past last use" false (Liveness.live_out l ~block:2 ~line:(line_at 2));
-  checkb "untracked line is dead" false (Liveness.live_in l ~block:0 ~line:(line_at 1))
-
-let test_liveness_hint_kills () =
-  let blocks =
-    [|
-      mk ~id:0 ~addr:(at 0) (Basic_block.Fallthrough 1);
-      mk
-        ~hints:[| Basic_block.Invalidate (line_at 2) |]
-        ~id:1 ~addr:(at 1) (Basic_block.Fallthrough 2);
-      mk ~id:2 ~addr:(at 2) Basic_block.Halt;
-    |]
-  in
-  let l = Liveness.compute ~blocks ~tracked:[| line_at 2 |] in
-  checkb "hint kills upstream liveness" false (Liveness.live_in l ~block:0 ~line:(line_at 2));
-  checkb "use below hint still live" true (Liveness.live_in l ~block:2 ~line:(line_at 2))
-
-let test_liveness_gen_beats_kill () =
-  (* A block that references then invalidates a line still exposes the
-     reference to its predecessors (code runs before hints). *)
-  let blocks =
-    [|
-      mk ~id:0 ~addr:(at 0) (Basic_block.Fallthrough 1);
-      mk ~hints:[| Basic_block.Invalidate (line_at 1) |] ~id:1 ~addr:(at 1) Basic_block.Halt;
-    |]
-  in
-  let l = Liveness.compute ~blocks ~tracked:[| line_at 1 |] in
-  checkb "self-reference wins" true (Liveness.live_in l ~block:1 ~line:(line_at 1));
-  checkb "propagates upstream" true (Liveness.live_in l ~block:0 ~line:(line_at 1))
-
 (* ------------------------- classification --------------------------- *)
 
 (* Tiny cache: 2 ways x 4 sets, so blocks 4 lines apart conflict. *)
@@ -334,6 +275,72 @@ let test_classify_prunes_at_reinvalidation () =
     checki "redundant site" 1 site.Icheck.block;
     checki "dominating witness" 0 earlier
   | _ -> Alcotest.fail "expected shielded dead + redundant"
+
+(* The safe split: [Safe_pressure] when the line is still referenced
+   after the hint (past at least [ways] same-set conflicts, else the
+   hint would be harmful), [Safe_dead] when no path re-references it
+   before another hint on the line. *)
+
+let test_classify_pressure_at_a_distance () =
+  (* Reuse four blocks past the hint, behind two same-set lines (4 and
+     8 lines in); the hint in the reusing block, at the line's last
+     use, leaves nothing to re-reference. *)
+  let blocks =
+    [|
+      mk
+        ~hints:[| Basic_block.Invalidate (line_at 12) |]
+        ~id:0 ~addr:(at 0) (Basic_block.Fallthrough 1);
+      mk ~id:1 ~addr:(at 4) (Basic_block.Fallthrough 2);
+      mk ~id:2 ~addr:(at 13) (Basic_block.Fallthrough 3);
+      mk ~id:3 ~addr:(at 8) (Basic_block.Fallthrough 4);
+      mk ~id:4 ~addr:(at 14) (Basic_block.Fallthrough 5);
+      mk ~hints:[| Basic_block.Invalidate (line_at 12) |] ~id:5 ~addr:(at 12) Basic_block.Halt;
+    |]
+  in
+  match classify blocks with
+  | [ (_, Icheck.Safe_pressure); (site, Icheck.Safe_dead) ] ->
+    checki "dead past the last use" 5 site.Icheck.block
+  | _ -> Alcotest.fail "expected safe (pressure), then safe (dead) at the last use"
+
+let test_classify_rehint_kills_liveness () =
+  (* The same distant reuse, but block 2 hints the line again: past
+     that hint the reuse misses whatever block 0 did, so block 0's hint
+     is dead, and block 2's is redundant behind it. *)
+  let blocks =
+    [|
+      mk
+        ~hints:[| Basic_block.Invalidate (line_at 12) |]
+        ~id:0 ~addr:(at 0) (Basic_block.Fallthrough 1);
+      mk ~id:1 ~addr:(at 4) (Basic_block.Fallthrough 2);
+      mk
+        ~hints:[| Basic_block.Demote (line_at 12) |]
+        ~id:2 ~addr:(at 13) (Basic_block.Fallthrough 3);
+      mk ~id:3 ~addr:(at 8) (Basic_block.Fallthrough 4);
+      mk ~id:4 ~addr:(at 12) Basic_block.Halt;
+    |]
+  in
+  match classify blocks with
+  | [ (_, Icheck.Safe_dead); (site, Icheck.Redundant { earlier }) ] ->
+    checki "re-hint site" 2 site.Icheck.block;
+    checki "dominating witness" 0 earlier
+  | _ -> Alcotest.fail "expected safe (dead), then redundant"
+
+let test_classify_reference_before_own_hint () =
+  (* Block 3 references the line and then hints it: its code runs
+     before its hint, so the reuse still counts for block 0's hint. *)
+  let blocks =
+    [|
+      mk
+        ~hints:[| Basic_block.Invalidate (line_at 12) |]
+        ~id:0 ~addr:(at 0) (Basic_block.Fallthrough 1);
+      mk ~id:1 ~addr:(at 4) (Basic_block.Fallthrough 2);
+      mk ~id:2 ~addr:(at 8) (Basic_block.Fallthrough 3);
+      mk ~hints:[| Basic_block.Invalidate (line_at 12) |] ~id:3 ~addr:(at 12) Basic_block.Halt;
+    |]
+  in
+  match classify blocks with
+  | [ (_, Icheck.Safe_pressure); (_, Icheck.Safe_dead) ] -> ()
+  | _ -> Alcotest.fail "expected safe (pressure), then safe (dead)"
 
 (* ------------------------------ lint -------------------------------- *)
 
@@ -1271,13 +1278,6 @@ let suites =
       [
         Alcotest.test_case "diamond" `Quick test_dominance_diamond;
         Alcotest.test_case "loop and unreachable" `Quick test_dominance_loop_and_unreachable;
-        Alcotest.test_case "post-dominators" `Quick test_post_dominance;
-      ] );
-    ( "analysis.liveness",
-      [
-        Alcotest.test_case "chain" `Quick test_liveness_chain;
-        Alcotest.test_case "hint kills" `Quick test_liveness_hint_kills;
-        Alcotest.test_case "gen beats kill" `Quick test_liveness_gen_beats_kill;
       ] );
     ( "analysis.classify",
       [
@@ -1289,6 +1289,11 @@ let suites =
           test_classify_reference_defeats_redundancy;
         Alcotest.test_case "prunes at re-invalidation" `Quick
           test_classify_prunes_at_reinvalidation;
+        Alcotest.test_case "pressure at a distance" `Quick test_classify_pressure_at_a_distance;
+        Alcotest.test_case "re-hint on the path kills liveness" `Quick
+          test_classify_rehint_kills_liveness;
+        Alcotest.test_case "reference before own hint stays live" `Quick
+          test_classify_reference_before_own_hint;
         QCheck_alcotest.to_alcotest prop_classify_matches_reference;
       ] );
     ( "analysis.lint",

@@ -227,7 +227,7 @@ let test_chrome_trace_export () =
       }
       ~source:program (Core.Pipeline.Trace train)
   in
-  let rendered = Obs.Export.chrome_sink.Obs.Export.render obs in
+  let rendered = Obs.Export.chrome_trace obs in
   match Json.parse rendered with
   | Error e -> Alcotest.fail ("chrome trace is not valid JSON: " ^ e)
   | Ok json ->
