@@ -293,10 +293,7 @@ let tab1 () =
     List.map
       (fun (e : Registry.entry) ->
         ( e.Registry.display,
-          (e.Registry.factory ~seed:0
-             ~params:(Registry.Param.defaults e.Registry.params)
-             ~sets ~ways)
-            .Cache.Policy.storage_bits,
+          (e.Registry.factory ~seed:0 ~sets ~ways).Cache.Policy.storage_bits,
           e.Registry.storage_note ))
       Registry.all
     @ [ ("Ripple (software)", 0, "no hardware metadata beyond the base policy") ]

@@ -34,37 +34,28 @@ let prefetch_conv =
   let print fmt p = Format.fprintf fmt "%s" (Pipeline.prefetch_name p) in
   Arg.conv (parse, print)
 
-(* The policy vocabulary (parser, parameter schemas and help text)
-   comes from the one registry, so a policy added there is immediately
-   accepted here.  Specs parse to their canonical string (overrides
-   sorted, defaults dropped), which is what JSONL rows record. *)
+(* The policy vocabulary (parser and help text) comes from the one
+   registry, so a policy added there is immediately accepted here.
+   Names parse case-insensitively to the registry's lowercase name,
+   which is what JSONL rows record. *)
 let policy_conv =
   let parse s =
-    match Registry.parse_spec s with
-    | Ok spec -> Ok (Registry.spec_to_string spec)
-    | Error m -> Error (`Msg m)
+    match Registry.find s with
+    | Some e -> Ok e.Registry.name
+    | None ->
+      Error
+        (`Msg
+          (Printf.sprintf "unknown policy %S (known: %s)" s
+             (String.concat ", " Registry.names)))
   in
   let print fmt name = Format.fprintf fmt "%s" name in
   Arg.conv (parse, print)
 
 let policy_doc =
-  "Replacement policy spec: $(i,NAME) or $(i,NAME):$(i,KEY)=$(i,VAL),$(i,KEY)=$(i,VAL),...     ($(b,+) also separates pairs, for use inside comma-separated lists).  Known: "
+  "Replacement policy.  Known: "
   ^ String.concat "; "
       (List.map
-         (fun e ->
-           let params =
-             match e.Registry.params with
-             | [] -> ""
-             | ps ->
-               Printf.sprintf " [%s]"
-                 (String.concat ", "
-                    (List.map
-                       (fun (p : Registry.Param.spec) ->
-                         Printf.sprintf "%s=%s" p.Registry.Param.key
-                           (Registry.Param.value_to_string p.Registry.Param.default))
-                       ps))
-           in
-           Printf.sprintf "$(b,%s) (%s)%s" e.Registry.name e.Registry.description params)
+         (fun e -> Printf.sprintf "$(b,%s) (%s)" e.Registry.name e.Registry.description)
          Registry.all)
   ^ "."
 
@@ -137,6 +128,13 @@ let backing_arg =
            memory; $(b,mmap) writes them through to unlinked temp files so paper-scale \
            traces run in bounded heap.  Results are byte-identical either way.")
 
+(* Rejects values below 1 as a usage error naming the flag, as
+   [geometry_term] does for --ways and --sets. *)
+let positive flag arg =
+  Term.term_result
+    Term.(
+      const (fun n -> if n < 1 then Error (`Msg (flag ^ " must be positive")) else Ok n) $ arg)
+
 let sample_windows_arg =
   Arg.(
     value
@@ -148,11 +146,11 @@ let sample_windows_arg =
            trace).  The JSONL row records the measured spans and coverage.")
 
 let sample_window_blocks_arg =
-  Arg.(
-    value
-    & opt int 50_000
-    & info [ "sample-window-blocks" ] ~docv:"N"
-        ~doc:"Blocks measured per sampled window.")
+  positive "--sample-window-blocks"
+    Arg.(
+      value
+      & opt int 50_000
+      & info [ "sample-window-blocks" ] ~docv:"N" ~doc:"Blocks measured per sampled window.")
 
 let sample_seed_arg =
   Arg.(
@@ -221,13 +219,6 @@ let geometry_term =
             | g -> Ok g
             | exception Invalid_argument m -> Error (`Msg m))
       $ sets_arg $ ways_arg $ line_arg)
-
-(* Rejects values below 1 as a usage error naming the flag, as
-   [geometry_term] does for --ways and --sets. *)
-let positive flag arg =
-  Term.term_result
-    Term.(
-      const (fun n -> if n < 1 then Error (`Msg (flag ^ " must be positive")) else Ok n) $ arg)
 
 let threshold_arg =
   Arg.(

@@ -3,7 +3,7 @@
 
 module Int_stream = Ripple_util.Int_stream
 
-type backing = Int_stream.backing = Heap | Spill of { dir : string option }
+type backing = Int_stream.backing = Heap | Spill
 
 type t = Int_stream.t
 
@@ -22,7 +22,7 @@ let iter = Int_stream.iter
 let iteri = Int_stream.iteri
 let iteri_rev = Int_stream.iteri_rev
 let fold_left = Int_stream.fold_left
-let backing t = if Int_stream.is_spill t then Spill { dir = None } else Heap
+let backing t = if Int_stream.is_spill t then Spill else Heap
 let is_spill = Int_stream.is_spill
 let close = Int_stream.close
 let raw t = t
@@ -39,8 +39,8 @@ module Builder = struct
   let abort = Int_stream.Builder.abort
 end
 
-let of_array ?backing accesses =
-  let b = Builder.create ?backing () in
+let of_array accesses =
+  let b = Builder.create () in
   Array.iter (fun acc -> Builder.add_access b acc) accesses;
   Builder.finish b
 

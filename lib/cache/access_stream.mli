@@ -24,9 +24,7 @@
     identical — every accessor below behaves the same regardless of
     where the words are stored. *)
 
-type backing = Ripple_util.Int_stream.backing =
-  | Heap
-  | Spill of { dir : string option }
+type backing = Ripple_util.Int_stream.backing = Heap | Spill
 
 type t
 
@@ -52,7 +50,7 @@ val iteri_rev : (int -> Access.packed -> unit) -> t -> unit
 
 val fold_left : ('a -> Access.packed -> 'a) -> 'a -> t -> 'a
 
-val of_array : ?backing:backing -> Access.t array -> t
+val of_array : Access.t array -> t
 val of_list : ?backing:backing -> Access.t list -> t
 
 val to_array : t -> Access.t array
@@ -80,7 +78,7 @@ module Builder : sig
   type t
 
   val create : ?backing:backing -> unit -> t
-  (** [create ()] builds in the heap; [create ~backing:(Spill _) ()]
+  (** [create ()] builds in the heap; [create ~backing:Spill ()]
       writes through to a spill file one chunk at a time, so building a
       100 M-access stream never holds more than one chunk in memory. *)
 

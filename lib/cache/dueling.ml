@@ -3,18 +3,19 @@
    A fixed, sparse subset of sets is dedicated to each of two competing
    flavours ("leaders"); every other set ("followers") adopts whichever
    flavour is currently winning, as tracked by one saturating PSEL
-   counter trained on leader-set misses.  The default geometry — one
-   leader per flavour every [spacing] sets, a 10-bit PSEL initialised to
-   its midpoint — reproduces DRRIP's historical inline constants
-   exactly, which the pinned byte-identity test relies on. *)
+   counter trained on leader-set misses.  The geometry — one leader per
+   flavour every 16 sets, a 10-bit PSEL initialised to its midpoint —
+   reproduces DRRIP's historical inline constants exactly, which the
+   pinned byte-identity test relies on. *)
 
 type role = Leader_a | Leader_b | Follower
 
+let spacing = 16
+let psel_bits = 10
+let psel_max = (1 lsl psel_bits) - 1
+
 type t = {
-  spacing : int;
   n_leaders : int;
-  psel_bits : int;
-  psel_max : int;
   mutable psel : int;
   (* Telemetry: per-flavour leader misses and follower-selection flips,
      surfaced as the ripple_duel_* metric families. *)
@@ -24,16 +25,9 @@ type t = {
   mutable last_b : bool; (* follower selection at the last training *)
 }
 
-let make ~sets ?(spacing = 16) ?(psel_bits = 10) () =
-  if spacing < 2 then invalid_arg "Dueling.make: spacing must be >= 2";
-  if psel_bits < 1 || psel_bits > 30 then
-    invalid_arg "Dueling.make: psel_bits must be in [1,30]";
-  let psel_max = (1 lsl psel_bits) - 1 in
+let make ~sets =
   {
-    spacing;
     n_leaders = max 1 (sets / spacing);
-    psel_bits;
-    psel_max;
     psel = psel_max / 2;
     a_misses = 0;
     b_misses = 0;
@@ -42,18 +36,18 @@ let make ~sets ?(spacing = 16) ?(psel_bits = 10) () =
   }
 
 let role t ~set =
-  let q = set / t.spacing in
-  if set mod t.spacing = 0 && q < t.n_leaders then Leader_a
-  else if set mod t.spacing = t.spacing / 2 && q < t.n_leaders then Leader_b
+  let q = set / spacing in
+  if set mod spacing = 0 && q < t.n_leaders then Leader_a
+  else if set mod spacing = spacing / 2 && q < t.n_leaders then Leader_b
   else Follower
 
-let follower_selects_b t = t.psel > t.psel_max / 2
+let follower_selects_b t = t.psel > psel_max / 2
 
 let train_miss t ~set =
   (match role t ~set with
   | Leader_a ->
     t.a_misses <- t.a_misses + 1;
-    t.psel <- min t.psel_max (t.psel + 1)
+    t.psel <- min psel_max (t.psel + 1)
   | Leader_b ->
     t.b_misses <- t.b_misses + 1;
     t.psel <- max 0 (t.psel - 1)
@@ -71,11 +65,10 @@ let selects_b t ~set =
   | Follower -> follower_selects_b t
 
 let psel t = t.psel
-let psel_bits t = t.psel_bits
 let a_misses t = t.a_misses
 let b_misses t = t.b_misses
 let flips t = t.flips
-let storage_bits t = t.psel_bits
+let storage_bits _ = psel_bits
 
 let save t =
   let psel' = t.psel

@@ -9,21 +9,18 @@
     sets adopt the winner.  DRRIP, TRRIP and SHiP-SB all instantiate
     this one component instead of carrying private leader/PSEL logic.
 
-    The default [spacing]/[psel_bits] reproduce the constants DRRIP has
-    always used, so porting it onto this substrate is byte-identical
-    (pinned by a test). *)
+    The leader spacing (16 sets) and the 10-bit PSEL are the constants
+    DRRIP has always used, so porting it onto this substrate is
+    byte-identical (pinned by a test). *)
 
 type t
 
 type role = Leader_a | Leader_b | Follower
 
-val make : sets:int -> ?spacing:int -> ?psel_bits:int -> unit -> t
-(** One leader per flavour in each of the first [max 1 (sets/spacing)]
-    aligned groups of [spacing] sets: set [k*spacing] leads [A], set
-    [k*spacing + spacing/2] leads [B].  [spacing] defaults to 16,
-    [psel_bits] to 10; PSEL starts at its midpoint.
-    @raise Invalid_argument if [spacing < 2] or [psel_bits] is not in
-    [1..30]. *)
+val make : sets:int -> t
+(** One leader per flavour in each of the first [max 1 (sets/16)]
+    aligned groups of 16 sets: set [16k] leads [A], set [16k + 8] leads
+    [B].  PSEL starts at its midpoint. *)
 
 val role : t -> set:int -> role
 
@@ -38,7 +35,9 @@ val selects_b : t -> set:int -> bool
     midpoint. *)
 
 val psel : t -> int
-val psel_bits : t -> int
+
+val psel_bits : int
+(** PSEL's width: 10 bits, saturating at [1023]. *)
 
 val a_misses : t -> int
 (** Misses observed in flavour-[A] leader sets since creation. *)

@@ -13,7 +13,7 @@ let mix x =
   let x = x * 0x85EBCA77 in
   x lxor (x lsr 13)
 
-let make ?(fixed = true) () ~sets ~ways =
+let make ~sets ~ways =
   let st = Policy.State.create () in
   let history = Policy.State.ref st 0 in
   let tables = Array.init n_tables (fun _ -> Policy.State.array st table_entries counter_init) in
@@ -60,7 +60,7 @@ let make ?(fixed = true) () ~sets ~ways =
     touch ~set ~way acc
   in
   let on_fill ~set ~way (acc : Access.packed) =
-    if fixed && Access.packed_is_demand acc then begin
+    if Access.packed_is_demand acc then begin
       (* Premature-eviction check: was this line evicted recently? *)
       let line = Access.packed_line acc in
       for i = 0 to victim_buffer_size - 1 do
@@ -89,11 +89,9 @@ let make ?(fixed = true) () ~sets ~ways =
   let on_eviction ~set ~way ~line =
     let slot = (set * ways) + way in
     train signature.(slot) ~towards_dead:true ~amount:3;
-    if fixed then begin
-      victims_line.(!victims_head) <- line;
-      victims_sig.(!victims_head) <- signature.(slot);
-      victims_head := (!victims_head + 1) mod victim_buffer_size
-    end
+    victims_line.(!victims_head) <- line;
+    victims_sig.(!victims_head) <- signature.(slot);
+    victims_head := (!victims_head + 1) mod victim_buffer_size
   in
   let storage_bits =
     (n_tables * table_entries * 8) (* prediction tables: 3 KiB *)

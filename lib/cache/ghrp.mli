@@ -8,9 +8,8 @@
 
     §II-D of the Ripple paper notes a flaw: baseline GHRP grows more
     confident that a line is dead after every eviction even when the
-    eviction was premature.  [~fixed:true] (the default, matching the
-    paper's modified GHRP) tracks recently evicted lines and, when one is
-    re-demanded soon after eviction, retrains its signature towards
-    alive. *)
+    eviction was premature.  This is the paper's modified GHRP: it
+    tracks recently evicted lines and, when one is re-demanded soon
+    after eviction, retrains its signature towards alive. *)
 
-val make : ?fixed:bool -> unit -> Policy.factory
+val make : Policy.factory

@@ -1,5 +1,6 @@
 let predictor_entries = 2048
 let counter_max = 7
+let max_hits = 7 (* saturation of the EHC per-line hit counters *)
 let friendly_threshold = 4
 let sampler_associativity = 64 (* history depth per sampled set: 8x ways *)
 let rrpv_max = 7
@@ -31,10 +32,9 @@ type sampler = {
 
 let ehc_entries = 2048
 
-let make ?(harmony = true) ?(ehc = false) ?(max_hits = 7) () ~sets ~ways =
+let make ~ehc ~sets ~ways =
   friendly_lookups := 0;
   total_lookups := 0;
-  if max_hits < 1 then invalid_arg "Hawkeye.make: max_hits must be >= 1";
   let st = Policy.State.create () in
   let predictor = Policy.State.array st predictor_entries friendly_threshold in
   let rrpv = Policy.State.array st (sets * ways) rrpv_max in
@@ -46,7 +46,7 @@ let make ?(harmony = true) ?(ehc = false) ?(max_hits = 7) () ~sets ~ways =
      selection; with every tie equal it degenerates to plain Hawkeye. *)
   let hits = Policy.State.array st (sets * ways) 0 in
   let ehc_table = Policy.State.array st ehc_entries 0 in
-  let ehc_duel = if ehc then Some (Dueling.make ~sets ()) else None in
+  let ehc_duel = if ehc then Some (Dueling.make ~sets) else None in
   Option.iter (fun d -> Policy.State.custom st (fun () -> Dueling.save d)) ehc_duel;
   let ehc_index pc = mix pc land (ehc_entries - 1) in
   let sample_every = 4 in
@@ -74,9 +74,9 @@ let make ?(harmony = true) ?(ehc = false) ?(max_hits = 7) () ~sets ~ways =
     predictor.(i) <-
       (if friendly then min counter_max (predictor.(i) + 1) else max 0 (predictor.(i) - 1))
   in
-  (* OPTgen: decide whether Belady (or Demand-MIN under Harmony) would
-     have kept [line] across its last usage interval, and train the PC
-     that opened the interval accordingly. *)
+  (* OPTgen: decide whether Demand-MIN would have kept [line] across its
+     last usage interval, and train the PC that opened the interval
+     accordingly. *)
   let optgen_access sampler (acc : Access.packed) =
     let now = !(sampler.clock) in
     sampler.clock := now + 1;
@@ -90,7 +90,7 @@ let make ?(harmony = true) ?(ehc = false) ?(max_hits = 7) () ~sets ~ways =
        let i = !found in
        let t_prev = sampler.times.(i) in
        if now - t_prev < sampler_associativity then begin
-         if harmony && Access.packed_is_prefetch acc then
+         if Access.packed_is_prefetch acc then
            (* Demand-MIN: an interval closed by a prefetch need not be
               cached — the prefetch re-fetches the line for free. *)
            train sampler.pcs.(i) ~friendly:false
@@ -225,7 +225,7 @@ let make ?(harmony = true) ?(ehc = false) ?(max_hits = 7) () ~sets ~ways =
       | None -> 0)
   in
   {
-    Policy.name = (if ehc then "ehc-hawkeye" else if harmony then "harmony" else "hawkeye");
+    Policy.name = (if ehc then "ehc-hawkeye" else "harmony");
     on_hit;
     on_fill;
     fill_decision = Policy.nop_fill_decision;

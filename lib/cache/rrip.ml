@@ -72,14 +72,15 @@ module Predictor = struct
   let storage_bits t = (Array.length t.counters * 2) + (Array.length t.fill_sig * (t.sig_bits + 1))
 end
 
-(* DRRIP's bimodal insertion: 1-in-[throttle] fills insert long, the
-   rest distant. *)
-let bimodal st ~name ~throttle =
-  if throttle < 1 then invalid_arg (name ^ ": throttle must be >= 1");
+(* DRRIP's bimodal insertion: 1-in-32 fills insert long, the rest
+   distant. *)
+let bimodal_throttle = 32
+
+let bimodal st =
   let count = State.ref st 0 in
   fun () ->
     incr count;
-    if !count mod throttle = 0 then long else distant
+    if !count mod bimodal_throttle = 0 then long else distant
 
 (* The kernel owns everything but the insertion rule: [insert] returns
    the RRPV of a fill, after the predictor (if any) has recorded the
@@ -132,11 +133,11 @@ let kernel ~name ~sets ~ways st ?duel ?predictor ?bypass insert =
 
 let srrip ~sets ~ways = kernel ~name:"srrip" ~sets ~ways (State.create ()) (fun ~set:_ ~slot:_ _ -> long)
 
-let drrip ?(psel_bits = 10) ?(throttle = 32) ?(spacing = 16) () ~sets ~ways =
+let drrip ~sets ~ways =
   let st = State.create () in
-  let bimodal = bimodal st ~name:"drrip" ~throttle in
+  let bimodal = bimodal st in
   (* Flavour A duels SRRIP insertion, flavour B bimodal insertion. *)
-  let duel = Dueling.make ~sets ~spacing ~psel_bits () in
+  let duel = Dueling.make ~sets in
   kernel ~name:"drrip" ~sets ~ways st ~duel (fun ~set ~slot:_ _ ->
       if Dueling.selects_b duel ~set then bimodal () else long)
 
@@ -147,34 +148,33 @@ let ship ~sets ~ways =
   kernel ~name:"ship" ~sets ~ways st ~predictor:shct (fun ~set:_ ~slot _ ->
       if Predictor.resident shct ~slot = 0 then distant else long)
 
-let trrip ?(table_bits = 12) ?(hot = 2) () ~sets ~ways =
-  if table_bits < 4 || table_bits > 20 then invalid_arg "trrip: table_bits must be in [4,20]";
-  if hot < 1 || hot > Predictor.counter_max then
-    invalid_arg (Printf.sprintf "trrip: hot must be in [1,%d]" Predictor.counter_max);
+let trrip ~sets ~ways =
   let st = State.create () in
-  let temp = Predictor.make st ~slots:(sets * ways) ~entries:(1 lsl table_bits) ~sig_bits:14 in
+  (* A 4096-entry temperature table; counters at 2 or above (of 0..3)
+     mark hot code. *)
+  let temp = Predictor.make st ~slots:(sets * ways) ~entries:4096 ~sig_bits:14 in
   (* Flavour A: plain SRRIP insertion.  Flavour B: temperature-guided
      insertion. *)
-  let duel = Dueling.make ~sets () in
+  let duel = Dueling.make ~sets in
   kernel ~name:"trrip" ~sets ~ways st ~duel ~predictor:temp (fun ~set ~slot _ ->
       if Dueling.selects_b duel ~set then begin
         let t = Predictor.resident temp ~slot in
-        if t >= hot then 1 (* hot code: near-MRU *)
+        if t >= 2 then 1 (* hot code: near-MRU *)
         else if t = 0 then distant (* cold code: eviction-first *)
         else long
       end
       else long)
 
-let ship_sb ?(bypass = true) ?(throttle = 32) ?(stream_window = 8) () ~sets ~ways =
+let ship_sb ~sets ~ways =
   let st = State.create () in
-  let bimodal = bimodal st ~name:"ship-sb" ~throttle in
-  if stream_window < 1 then invalid_arg "ship-sb: stream_window must be >= 1";
+  let bimodal = bimodal st in
   let outcome = Predictor.make st ~slots:(sets * ways) ~entries:64 ~sig_bits:6 in
   (* Flavour A: SRRIP insertion.  Flavour B: bimodal insertion. *)
-  let duel = Dueling.make ~sets () in
+  let duel = Dueling.make ~sets in
   (* Per-set streaming detector: a stable non-zero stride between
      consecutive misses opens a window of [stream_window] misses during
      which dead-signature fills bypass the cache. *)
+  let stream_window = 8 in
   let last_line = State.array st sets min_int in
   let stride = State.array st sets 0 in
   let confidence = State.array st sets 0 in
@@ -193,16 +193,11 @@ let ship_sb ?(bypass = true) ?(throttle = 32) ?(stream_window = 8) () ~sets ~way
     else if window.(set) > 0 then window.(set) <- window.(set) - 1;
     window.(set) > 0
   in
-  let bypass =
-    if bypass then
-      Some
-        (fun ~set acc ->
-          streaming ~set (Access.packed_line acc)
-          && Predictor.lookup outcome (Access.packed_pc acc) = 0)
-    else None
+  let bypass ~set acc =
+    streaming ~set (Access.packed_line acc) && Predictor.lookup outcome (Access.packed_pc acc) = 0
   in
   let p =
-    kernel ~name:"ship-sb" ~sets ~ways st ~duel ~predictor:outcome ?bypass (fun ~set ~slot _ ->
+    kernel ~name:"ship-sb" ~sets ~ways st ~duel ~predictor:outcome ~bypass (fun ~set ~slot _ ->
         let base = if Dueling.selects_b duel ~set then bimodal () else long in
         (* The outcome counter overrides the duel at its extremes: dead
            signatures insert eviction-first, proven-reused ones near-MRU. *)

@@ -19,15 +19,13 @@ val srrip : Policy.factory
 (** Static RRIP (Jaleel et al. 2010): every fill inserts at the long
     RRPV (2) and is promoted only on re-use. *)
 
-val drrip : ?psel_bits:int -> ?throttle:int -> ?spacing:int -> unit -> Policy.factory
+val drrip : Policy.factory
 (** Dynamic RRIP (Jaleel et al. 2010): set-dueling between SRRIP
-    insertion and bimodal (thrash-resistant) insertion, with a PSEL
-    counter arbitrating for follower sets.  [throttle] is the bimodal
-    rate (1-in-[throttle] fills insert long, default 32); [psel_bits]
-    (default 10) and [spacing] (default 16) are the {!Dueling}
-    geometry.  The defaults reproduce the historical inline
-    implementation bit for bit.
-    @raise Invalid_argument if [throttle < 1]. *)
+    insertion and bimodal (thrash-resistant) insertion, with the
+    {!Dueling} PSEL counter arbitrating for follower sets.  Bimodal
+    insertion puts 1 in 32 fills at the long RRPV, the rest at distant.
+    This reproduces the historical inline implementation bit for
+    bit. *)
 
 val ship : Policy.factory
 (** SHiP: signature-based hit prediction (Wu et al., MICRO 2011) — one
@@ -39,31 +37,22 @@ val ship : Policy.factory
     re-referenced, so the predictor saturates towards "re-used" and the
     policy collapses into SRRIP. *)
 
-val trrip : ?table_bits:int -> ?hot:int -> unit -> Policy.factory
-(** TRRIP: temperature-based RRIP for instruction caches (Mehta et al.
+val trrip : Policy.factory
+(** TRRIP: temperature-based RRIP for instruction caches (Kao et al.
     2025; PAPERS.md).  The published policy maps profile-derived code
     temperature onto RRIP insertion positions; this online rendition
-    learns the temperature in hardware with the reuse predictor.  Hot
-    PCs insert near-MRU (RRPV 1), cold PCs eviction-first, the rest at
-    SRRIP's long position — and a {!Dueling} component duels this
-    insertion against plain SRRIP insertion, so the policy never loses
-    more than its leader sets when the temperature signal is wrong.
-    [table_bits] sizes the temperature table at [2^table_bits] entries
-    (default 12); [hot] is the counter value at or above which a PC
-    counts as hot (default 2 of a 0..3 range).
-    @raise Invalid_argument if [table_bits] is outside [4..20] or [hot]
-    outside [1..3]. *)
+    learns the temperature in hardware with the reuse predictor, a
+    4096-entry table.  Hot PCs (counter 2 or 3 of 0..3) insert near-MRU
+    (RRPV 1), cold PCs (counter 0) eviction-first, the rest at SRRIP's
+    long position — and a {!Dueling} component duels this insertion
+    against plain SRRIP insertion, so the policy never loses more than
+    its leader sets when the temperature signal is wrong. *)
 
-val ship_sb : ?bypass:bool -> ?throttle:int -> ?stream_window:int -> unit -> Policy.factory
+val ship_sb : Policy.factory
 (** SHiP-lite with streaming bypass, the hardware-budget SHiP of the
     ChampSim replacement championships: a 6-bit PC signature indexes a
     64-entry outcome table (never-reused signatures insert
     eviction-first, proven-reused ones near-MRU), the middle ground
-    duels SRRIP against bimodal insertion, and a per-set stride detector
-    opens a short streaming window during which fills from dead
-    signatures bypass the cache ([Policy.fill_decision]).  [bypass]
-    (default [true]) enables the bypass path — [false] degrades the
-    policy to SHiP-lite over DRRIP insertion; [throttle] is the bimodal
-    rate (default 32); [stream_window] (default 8) is how many misses a
-    detected stream keeps the window open.
-    @raise Invalid_argument if [throttle] or [stream_window] < 1. *)
+    duels SRRIP against DRRIP's bimodal insertion, and a per-set stride
+    detector opens an 8-miss streaming window during which fills from
+    dead signatures bypass the cache ([Policy.fill_decision]). *)

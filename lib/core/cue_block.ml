@@ -187,7 +187,5 @@ let analyze_report ?(scan_limit = default_scan_limit) ?(step_limit = default_ste
       selected = !selected;
     } )
 
-let analyze ?scan_limit ?step_limit ?min_support ~stream ~windows ~exec_counts ~threshold () =
-  fst
-    (analyze_report ?scan_limit ?step_limit ?min_support ~stream ~windows ~exec_counts
-       ~threshold ())
+let analyze ?min_support ~stream ~windows ~exec_counts ~threshold () =
+  fst (analyze_report ?min_support ~stream ~windows ~exec_counts ~threshold ())

@@ -69,8 +69,6 @@ val analyze_report :
 (** Like {!analyze}, also reporting why windows fell out of selection. *)
 
 val analyze :
-  ?scan_limit:int ->
-  ?step_limit:int ->
   ?min_support:int ->
   stream:Access_stream.t ->
   windows:Eviction_window.t array ->
@@ -78,6 +76,7 @@ val analyze :
   threshold:float ->
   unit ->
   decision list
-(** [windows] must be in stream coordinates over [stream];
+(** {!analyze_report}'s decisions at the default scan and step limits.
+    [windows] must be in stream coordinates over [stream];
     [exec_counts.(b)] is block [b]'s execution count in the profiled
     trace.  Decisions are deduplicated per (cue block, victim) pair. *)

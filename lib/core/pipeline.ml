@@ -135,7 +135,6 @@ type profile = {
 type input =
   | Trace of int array
   | Pt_bytes of bytes
-  | Pt_session of Pt.Session.t
   | Profile of profile
 
 let profile_of_recovery ~source (r : Pt.recovery) =
@@ -144,7 +143,6 @@ let profile_of_recovery ~source (r : Pt.recovery) =
 let profile_of ~source = function
   | Trace trace -> { trace; source; salvage = 1.0; pt_errors = 0 }
   | Pt_bytes data -> profile_of_recovery ~source (Pt.decode_result source data)
-  | Pt_session s -> profile_of_recovery ~source (Pt.Session.result s)
   | Profile p -> p
 
 let provenance_of_stats (s : Injector.stats) =
@@ -470,7 +468,7 @@ let run ?obs (o : Options.t) ~source input =
         match input with
         | Trace t when o.Options.pt_roundtrip ->
           profile_of ~source (Pt_bytes (Pt.encode source t))
-        | (Trace _ | Pt_bytes _ | Pt_session _ | Profile _) as input -> profile_of ~source input)
+        | (Trace _ | Pt_bytes _ | Profile _) as input -> profile_of ~source input)
   in
   Obs.Metric.add m.Metrics.decode_blocks (Array.length profile.trace);
   Obs.Metric.add m.Metrics.decode_errors profile.pt_errors;

@@ -14,7 +14,6 @@
     {!outcome} carries a deterministic {!Ripple_obs.Snapshot.t} of it. *)
 
 module Program := Ripple_isa.Program
-module Pt := Ripple_trace.Pt
 module Policy := Ripple_cache.Policy
 module Belady := Ripple_cache.Belady
 module Prefetcher := Ripple_prefetch.Prefetcher
@@ -175,12 +174,6 @@ type input =
           round-trips through the PT codec unless
           {!Options.t.pt_roundtrip} is off *)
   | Pt_bytes of bytes  (** a raw PT-style capture, decoded recoveringly *)
-  | Pt_session of Pt.Session.t
-      (** a live incremental decoding session ({!Ripple_trace.Pt.Session}):
-          the streaming path the [ripple-sim serve] daemon feeds.  The
-          session is snapshotted as-is — callers normally
-          {!Pt.Session.finish} it first so salvage and errors are
-          final *)
   | Profile of profile
       (** a pre-built artifact, possibly from a different layout — the
           decoupled-profile path the degradation ladder judges *)
@@ -191,10 +184,9 @@ val profile_of : source:Program.t -> input -> profile
     [Pt_bytes data] is a recovering decode
     ({!Ripple_trace.Pt.decode_result}) of a possibly corrupt stream —
     never raises, the salvage ratio and error count land in the artifact
-    for the ladder to judge; [Pt_session s] snapshots a live session the
-    same way; [Profile p] is the identity.  For a partial capture whose
-    salvage is known out of band, build the (public) {!profile} record
-    directly. *)
+    for the ladder to judge; [Profile p] is the identity.  For a partial
+    capture whose salvage is known out of band, build the (public)
+    {!profile} record directly. *)
 
 type evaluation = {
   result : Simulator.result;  (** performance of the instrumented run *)

@@ -79,16 +79,14 @@ end
 
 (* SimPoint-style sampled simulation: K measurement windows chosen
    deterministically from a seed, one per equal segment of the
-   steady-state region, each replayed from the warm-up checkpoint after
-   an uncounted ramp. *)
+   steady-state region, each replayed from the warm-up checkpoint. *)
 module Sampling = struct
-  type t = { windows : int; window_blocks : int; warm_blocks : int; seed : int }
+  type t = { windows : int; window_blocks : int; seed : int }
 
-  let v ?(warm_blocks = 0) ?(seed = 1) ~windows ~window_blocks () =
+  let v ?(seed = 1) ~windows ~window_blocks () =
     if windows <= 0 then invalid_arg "Sampling.v: windows must be positive";
     if window_blocks <= 0 then invalid_arg "Sampling.v: window_blocks must be positive";
-    if warm_blocks < 0 then invalid_arg "Sampling.v: warm_blocks must be non-negative";
-    { windows; window_blocks; warm_blocks; seed }
+    { windows; window_blocks; seed }
 
   type report = {
     spans : (int * int) array;
@@ -260,9 +258,6 @@ let run_trace ?(config = Config.default) ?(warmup = 0) ?obs
      float accumulation: every partial sum is far below 2^53.) *)
   let miss_cycles = ref 0 in
   let l2_served = ref 0 and l3_served = ref 0 and mem_served = ref 0 in
-  (* Sampled runs silence [on_hint] on uncounted ramp blocks so callers'
-     accuracy counters line up with the measured windows. *)
-  let hints_observed = ref true in
   let complete_prefetch (acc : Access.packed) =
     match Cache.access_packed l1 acc with
     | Cache.Hit -> ()
@@ -331,7 +326,7 @@ let run_trace ?(config = Config.default) ?(warmup = 0) ?obs
     for i = 0 to Array.length hints - 1 do
       let hint = hints.(i) in
       let line = Basic_block.hint_line hint in
-      if !hints_observed then on_hint ~at hint ~resident:(Cache.contains l1 line);
+      on_hint ~at hint ~resident:(Cache.contains l1 line);
       (match hint with
       | Basic_block.Invalidate line -> Cache.invalidate l1 line
       | Basic_block.Demote line -> Cache.demote l1 line);
@@ -414,13 +409,6 @@ let run_trace ?(config = Config.default) ?(warmup = 0) ?obs
     Array.iter
       (fun (w_start, w_end) ->
         restore ();
-        (* Uncounted ramp from the checkpoint to the window, detraining
-           the checkpoint bias before measurement starts. *)
-        hints_observed := false;
-        for at = max warmup (w_start - sampling.Sampling.warm_blocks) to w_start - 1 do
-          step at
-        done;
-        hints_observed := true;
         let snap = Stats.copy (Cache.stats l1) in
         let s_instr = !instructions and s_hint = !hint_instructions in
         let s_miss = !miss_cycles in
@@ -448,9 +436,9 @@ let run_trace ?(config = Config.default) ?(warmup = 0) ?obs
     | None -> ());
     (result, Some (Sampling.report_of_spans ~warmup ~n spans))
 
-let run ?config ?warmup ?obs ?on_hint ~program ~trace ~policy ~prefetcher () =
+let run ?config ?warmup ?on_hint ~program ~trace ~policy ~prefetcher () =
   fst
-    (run_trace ?config ?warmup ?obs ?on_hint ~program ~trace:(Trace.Blocks trace) ~policy
+    (run_trace ?config ?warmup ?on_hint ~program ~trace:(Trace.Blocks trace) ~policy
        ~prefetcher ())
 
 let instructions_from_trace ~program ~(trace : Trace.t) ~warmup =

@@ -62,23 +62,20 @@ end
     [window_blocks] trace blocks each, placed deterministically from
     [seed] — one per equal segment of the steady-state region
     (stratified, so coverage is spread across phases).  Each window
-    replays from the warm-up checkpoint: [warm_blocks] of uncounted ramp
-    detrain the checkpoint bias, then the window is measured and its
-    counter deltas spliced into the totals.  When the windows cover the
+    replays from the warm-up checkpoint and is measured, its counter
+    deltas spliced into the totals.  When the windows cover the
     whole steady-state region, the sampled run degenerates to — and is
     exactly equal to — the full run. *)
 module Sampling : sig
   type t = {
     windows : int;
     window_blocks : int;
-    warm_blocks : int;
     seed : int;
   }
 
-  val v : ?warm_blocks:int -> ?seed:int -> windows:int -> window_blocks:int -> unit -> t
-  (** Defaults: [warm_blocks = 0], [seed = 1].  Raises [Invalid_argument]
-      on non-positive [windows] / [window_blocks] or negative
-      [warm_blocks]. *)
+  val v : ?seed:int -> windows:int -> window_blocks:int -> unit -> t
+  (** Default [seed = 1].  Raises [Invalid_argument] on non-positive
+      [windows] / [window_blocks]. *)
 
   type report = {
     spans : (int * int) array;  (** measured [start, end) trace windows *)
@@ -98,7 +95,6 @@ end
 val run :
   ?config:Config.t ->
   ?warmup:int ->
-  ?obs:Ripple_obs.Run.t ->
   ?on_hint:(at:int -> Ripple_isa.Basic_block.hint -> resident:bool -> unit) ->
   program:Program.t ->
   trace:int array ->
@@ -112,14 +108,7 @@ val run :
     for Ripple's replacement-accuracy metric.  [warmup] names a trace
     index before which the caches are exercised but nothing is counted:
     all measurements are steady-state, as in the paper's 100 M-instruction
-    steady-state captures.
-
-    [obs] attaches the run to an observability context: the final result
-    is folded into the [ripple_sim_*] counters ({!observe_result}), and
-    ~16 periodic IPC/MPKI samples land in the [ripple_sim_ipc] /
-    [ripple_sim_mpki] series, timestamped in {e virtual} time (the trace
-    index) so the series — like every counter — is byte-identical across
-    pool sizes. *)
+    steady-state captures. *)
 
 val run_trace :
   ?config:Config.t ->
@@ -133,15 +122,25 @@ val run_trace :
   prefetcher:(Program.t -> Prefetcher.t) ->
   unit ->
   result * Sampling.report option
-(** {!run} generalized over the trace representation, with optional
-    sampled execution.  Without [sampling] this is exactly [run] (report
-    is [None]).  With [sampling], the run warms to [warmup], checkpoints
-    the full microarchitectural state (L1I + policy, L2/L3, prefetcher
-    and branch predictors, in-flight prefetches), then measures only the
-    selected windows, splicing their counter deltas; [on_hint] fires only
-    inside measured windows, and the periodic IPC/MPKI series is not
-    emitted.  A degenerate sampling (windows covering the whole
-    steady-state region) reproduces the full run's result exactly. *)
+(** {!run} generalized over the trace representation, with an
+    observability context and optional sampled execution.
+
+    [obs] attaches the run to an observability context: the final result
+    is folded into the [ripple_sim_*] counters ({!observe_result}), and
+    ~16 periodic IPC/MPKI samples land in the [ripple_sim_ipc] /
+    [ripple_sim_mpki] series, timestamped in {e virtual} time (the trace
+    index) so the series — like every counter — is byte-identical across
+    pool sizes.
+
+    Without [sampling] the result is exactly [run]'s (report is [None]).
+    With [sampling], the run warms to [warmup], checkpoints the full
+    microarchitectural state (L1I + policy, L2/L3, prefetcher and branch
+    predictors, in-flight prefetches), then measures only the selected
+    windows, splicing their counter deltas; [on_hint] fires during
+    warm-up and inside measured windows, and the periodic IPC/MPKI
+    series is not emitted.  A degenerate sampling (windows covering the
+    whole steady-state region) reproduces the full run's result
+    exactly. *)
 
 val register_obs : Ripple_obs.Registry.t -> unit
 (** Pre-registers the simulator's whole metric vocabulary
@@ -224,7 +223,7 @@ val record_stream_indexed_trace :
   unit ->
   Access_stream.t * Int_stream.t
 (** {!record_stream_indexed} generalized over the trace representation
-    and the stream backing: with [~backing:(Spill _)] both the access
+    and the stream backing: with [~backing:Spill] both the access
     stream and its position index are written through to mmap-backed
     spill files, so recording a 100 M-block trace leaves O(1) heap
     behind. *)

@@ -140,7 +140,7 @@ let run_spec ?(config = Config.default) ?(backing = Ripple_cache.Access_stream.H
   let warmup = Array.length eval / 2 in
   let prefetch = spec.Spec.prefetch in
   let prefetcher = Pipeline.prefetcher_of ~config prefetch in
-  let policy_of spec_str = Registry.factory ~seed:(Spec.prng_seed spec) spec_str in
+  let policy_of name = Registry.factory ~seed:(Spec.prng_seed spec) name in
   (* Every cell gets a private observability context; the deterministic
      snapshot rides on the outcome so {!Report} can render it into the
      JSONL regardless of which domain ran the cell. *)

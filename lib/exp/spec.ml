@@ -48,14 +48,7 @@ let threshold t = match t.kind with Ripple { threshold; _ } -> Some threshold | 
 
 (* FNV-1a over the cell key: stable across runs and OCaml versions
    (unlike [Hashtbl.hash], which is documented only per-process). *)
-let prng_seed t =
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x01000193 land 0x3FFFFFFF)
-    (to_string t);
-  !h
+let prng_seed t = Ripple_util.Prng.seed_of_string (to_string t)
 
 (* Seed used for retry attempt [attempt] of a cell (attempt 0 is the
    spec's own seed): a large odd stride keeps perturbed seeds disjoint

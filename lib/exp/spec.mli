@@ -17,18 +17,15 @@ type input =
 
 type kind =
   | Policy of string
-      (** one hardware replacement policy, as a full registry spec
-          string — ["drrip"] or ["drrip:psel_bits=8,throttle=16"]
-          ({!Ripple_cache.Registry}).  Use the canonical form
-          ({!Ripple_cache.Registry.canonical}; the CLI canonicalises at
-          parse time) so equal cells compare equal and the JSONL
-          [policy] field records one stable spelling per
-          parameterization. *)
+      (** one hardware replacement policy, by registry name — ["drrip"]
+          ({!Ripple_cache.Registry}).  Use the lowercase name (the CLI
+          lowercases at parse time) so equal cells compare equal and
+          the JSONL [policy] field records one stable spelling. *)
   | Ideal_cache  (** the Fig. 1 never-miss limit *)
   | Oracle  (** ideal replacement: MIN, or Demand-MIN under a prefetcher *)
   | Ripple of { policy : string; threshold : float }
       (** profile on the train input, instrument at [threshold], evaluate
-          under [policy] (a registry spec string, like {!Policy}) *)
+          under [policy] (a registry name, like {!Policy}) *)
 
 type t = {
   app : string;  (** application model name ({!Ripple_workloads.Apps.by_name}) *)
@@ -63,10 +60,10 @@ val to_string : t -> string
 val threshold : t -> float option
 
 val prng_seed : t -> int
-(** Deterministic per-cell seed: an FNV-1a hash of {!to_string}, so two
-    specs differing in any field draw independent random streams, and
-    the same spec draws the same stream in every run, serial or
-    parallel. *)
+(** Deterministic per-cell seed: {!Ripple_util.Prng.seed_of_string} of
+    {!to_string}, so two specs differing in any field draw independent
+    random streams, and the same spec draws the same stream in every
+    run, serial or parallel. *)
 
 val perturb_seed : int -> attempt:int -> int
 (** Seed for retry [attempt] of a cell whose base seed is the argument;

@@ -2,7 +2,6 @@ module W = Ripple_workloads
 module Program = Ripple_isa.Program
 module Pt = Ripple_trace.Pt
 module Registry = Ripple_cache.Registry
-module Config = Ripple_cpu.Config
 module Simulator = Ripple_cpu.Simulator
 module Pipeline = Ripple_core.Pipeline
 module Pool = Ripple_exp.Pool
@@ -32,16 +31,9 @@ type cell = {
 
 type report = { cells : cell list; crashed : int; violations : int }
 
-(* Per-(app, fault) seed: FNV-1a over the cell key folded with the run
-   seed, the same idiom as {!Ripple_exp.Spec.prng_seed}. *)
+(* Per-(app, fault) seed: the cell key folded with the run seed. *)
 let cell_seed ~seed app fault =
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x01000193 land 0x3FFFFFFF)
-    (Printf.sprintf "%s/%s/%d" app (Fault.to_string fault) seed);
-  !h
+  Ripple_util.Prng.seed_of_string (Printf.sprintf "%s/%s/%d" app (Fault.to_string fault) seed)
 
 (* Build the (possibly faulted) profile artifact for one cell.  The
    fault decides which layer it attacks: the packet stream, the decoded
@@ -105,7 +97,7 @@ let check_cell ~expectation ~(degrade : Pipeline.Degrade.t) ~baseline_ipc ~instr
     push "hints-off IPC %.6f below uninstrumented baseline %.6f" instrumented_ipc baseline_ipc;
   List.rev !v
 
-let run_cell ~seed ~n_instrs ~prefetch ~config ~policy ~workload ~program ~train ~eval ~warmup
+let run_cell ~seed ~n_instrs ~prefetch ~policy ~workload ~program ~train ~eval ~warmup
     ~baseline_ipc fault =
   let expectation = Fault.expectation fault in
   let seed = cell_seed ~seed workload.W.Cfg_gen.model.W.App_model.name fault in
@@ -117,7 +109,6 @@ let run_cell ~seed ~n_instrs ~prefetch ~config ~policy ~workload ~program ~train
     let opts =
       {
         Pipeline.Options.default with
-        Pipeline.Options.config;
         degrade = true;
         min_support = 1;
         prefetch;
@@ -145,8 +136,7 @@ let run_cell ~seed ~n_instrs ~prefetch ~config ~policy ~workload ~program ~train
 let app_names () = List.map (fun m -> m.W.App_model.name) W.Apps.all
 
 let run ?(apps = app_names ()) ?(faults = Fault.matrix) ?(n_instrs = 200_000) ?(seed = 20240)
-    ?(prefetch = Pipeline.Fdip) ?(policy = "lru") ?(config = Config.default) ?jobs
-    ?(progress = fun _ -> ()) () =
+    ?(prefetch = Pipeline.Fdip) ?(policy = "lru") ?jobs () =
   let run_app app =
     let workload =
       match W.Apps.by_name app with
@@ -162,25 +152,21 @@ let run ?(apps = app_names ()) ?(faults = Fault.matrix) ?(n_instrs = 200_000) ?(
     let warmup = Array.length eval / 2 in
     let policy_factory = Registry.factory ~seed policy in
     let baseline =
-      Simulator.run ~config ~warmup ~program ~trace:eval ~policy:policy_factory
-        ~prefetcher:(Pipeline.prefetcher_of ~config prefetch)
+      Simulator.run ~warmup ~program ~trace:eval ~policy:policy_factory
+        ~prefetcher:(Pipeline.prefetcher_of prefetch)
         ()
     in
     let baseline_ipc = baseline.Simulator.ipc in
     List.map
       (fun fault ->
-        let cell =
-          {
-            app;
-            fault;
-            expectation = Fault.expectation fault;
-            status =
-              run_cell ~seed ~n_instrs ~prefetch ~config ~policy:policy_factory ~workload
-                ~program ~train ~eval ~warmup ~baseline_ipc fault;
-          }
-        in
-        progress cell;
-        cell)
+        {
+          app;
+          fault;
+          expectation = Fault.expectation fault;
+          status =
+            run_cell ~seed ~n_instrs ~prefetch ~policy:policy_factory ~workload ~program ~train
+              ~eval ~warmup ~baseline_ipc fault;
+        })
       faults
   in
   let per_app = Pool.run ?jobs ~f:run_app (Array.of_list apps) in

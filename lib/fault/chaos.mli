@@ -18,7 +18,6 @@
     the domain pool. *)
 
 module Pipeline := Ripple_core.Pipeline
-module Config := Ripple_cpu.Config
 
 type outcome = {
   degrade : Pipeline.Degrade.t;  (** ladder decision and its evidence *)
@@ -43,14 +42,12 @@ val run :
   ?seed:int ->
   ?prefetch:Pipeline.prefetch ->
   ?policy:string ->
-  ?config:Config.t ->
   ?jobs:int ->
-  ?progress:(cell -> unit) ->
   unit ->
   report
 (** Runs the matrix (defaults: all nine apps × {!Fault.matrix},
-    200k instructions, FDIP, LRU).  [progress] is called once per
-    finished cell, from worker domains. *)
+    200k instructions, FDIP, LRU) on the Table II machine
+    ({!Ripple_cpu.Config.default}). *)
 
 val exit_code : report -> int
 (** 2 if any cell crashed, 1 if any contract violation, else 0. *)

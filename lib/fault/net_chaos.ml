@@ -219,19 +219,22 @@ let run_proxy ~server_port ~ready_path ~seed ~fault ~victim () =
 
 (* ------------------------------ harness ------------------------------ *)
 
-let harness_config ~window ~state_dir ~port ~ready_file =
+(* Pushes send 1 KiB chunks to a daemon with a 100 k-block window. *)
+let chunk = 1024
+
+let harness_config =
   {
     Server.default_config with
-    Server.port;
-    window;
+    Server.port = 0;
+    window = 100_000;
     options =
       {
         Pipeline.Options.default with
         Pipeline.Options.degrade = true;
         prefetch = Pipeline.No_prefetch;
       };
-    ready_file = Some ready_file;
-    state_dir;
+    ready_file = None;
+    state_dir = None;
     idle_timeout = 30.0;
   }
 
@@ -241,7 +244,7 @@ let expect_ok = function
 
 (* The uninterrupted run, in-process: what the live daemon's session
    must be indistinguishable from. *)
-let control_status ~config ~app ~chunk data =
+let control_status ~config ~app data =
   let t = Server.create { config with Server.state_dir = None; ready_file = None } in
   let conn = Server.Conn.create () in
   let handle frame = fst (Server.Conn.handle t conn frame) in
@@ -273,7 +276,7 @@ let await_ready path =
   read_ready path
 
 (* One fault cell: daemon + proxy + resumable push, then verdicts. *)
-let run_fault_cell ~config ~app ~chunk ~seed ~timeout ~data fault =
+let run_fault_cell ~config ~app ~seed ~timeout ~data fault =
   let dir = fresh_dir "ripple-net-chaos" in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
@@ -305,7 +308,7 @@ let run_fault_cell ~config ~app ~chunk ~seed ~timeout ~data fault =
               Client.push_with_retries ~attempts:10 ~timeout ~backoff:0.05 ~seed ~chunk
                 ~host:"127.0.0.1" ~port:proxy_port ~app data
             in
-            let control = control_status ~config ~app ~chunk data in
+            let control = control_status ~config ~app data in
             let pushed, attempts, detail =
               match push with
               | Ok { Client.attempts_used; _ } -> (true, attempts_used, "")
@@ -340,7 +343,7 @@ let run_fault_cell ~config ~app ~chunk ~seed ~timeout ~data fault =
    With [kills > 1], the extra strikes land right after each recovery,
    proving a freshly restored daemon is itself recoverable (restore
    must never clobber the durable state it just loaded). *)
-let run_recover_cell ~config ~app ~chunk ~seed ~label ~kills ~data =
+let run_recover_cell ~config ~app ~seed ~label ~kills ~data =
   let dir = fresh_dir "ripple-net-chaos" in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
@@ -408,7 +411,7 @@ let run_recover_cell ~config ~app ~chunk ~seed ~label ~kills ~data =
           | exception Unix.Unix_error _ -> 202
       in
       let pushed = Sys.file_exists status_path && pusher_code < 200 in
-      let control = control_status ~config ~app ~chunk data in
+      let control = control_status ~config ~app data in
       let equivalent, detail =
         if not pushed then (false, Printf.sprintf "pusher failed (code %d)" pusher_code)
         else
@@ -443,8 +446,8 @@ let default_faults ~stall_delay =
     Net_fault.Stall_frame { delay = stall_delay };
   ]
 
-let run ?(app = "kafka") ?(n_instrs = 40_000) ?(seed = 20240) ?(chunk = 1024)
-    ?(timeout = 0.8) ?(stall_delay = 2.0) ?(window = 100_000) () =
+let run ?(app = "kafka") ?(n_instrs = 40_000) ?(seed = 20240) ?(timeout = 0.8)
+    ?(stall_delay = 2.0) () =
   ignore_sigpipe ();
   let model =
     match W.Apps.by_name app with
@@ -454,20 +457,13 @@ let run ?(app = "kafka") ?(n_instrs = 40_000) ?(seed = 20240) ?(chunk = 1024)
   let workload = W.Cfg_gen.generate model in
   let trace = W.Executor.run workload ~input:W.Executor.train ~n_instrs in
   let data = Pt.encode workload.W.Cfg_gen.program trace in
-  let config = harness_config ~window ~state_dir:None ~port:0 ~ready_file:"unused" in
-  let config = { config with Server.ready_file = None } in
+  let config = harness_config in
   let cell_of fault =
     let seed =
-      (* Same per-cell seed idiom as {!Chaos.cell_seed}. *)
-      let h = ref 0x811c9dc5 in
-      String.iter
-        (fun c ->
-          h := !h lxor Char.code c;
-          h := !h * 0x01000193 land 0x3FFFFFFF)
-        (Printf.sprintf "%s/%s/%d" app (Net_fault.to_string fault) seed);
-      !h
+      Ripple_util.Prng.seed_of_string
+        (Printf.sprintf "%s/%s/%d" app (Net_fault.to_string fault) seed)
     in
-    match run_fault_cell ~config ~app ~chunk ~seed ~timeout ~data fault with
+    match run_fault_cell ~config ~app ~seed ~timeout ~data fault with
     | cell -> cell
     | exception e ->
       {
@@ -482,7 +478,7 @@ let run ?(app = "kafka") ?(n_instrs = 40_000) ?(seed = 20240) ?(chunk = 1024)
   in
   let cells = List.map cell_of (default_faults ~stall_delay) in
   let recover ~label ~kills =
-    match run_recover_cell ~config ~app ~chunk ~seed ~label ~kills ~data with
+    match run_recover_cell ~config ~app ~seed ~label ~kills ~data with
     | cell -> cell
     | exception e ->
       {

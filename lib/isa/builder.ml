@@ -44,14 +44,14 @@ let set_term t id term =
   assert (id >= 0 && id < t.count);
   t.protos.(id).term <- term
 
-let straight_line t ?(privilege = Basic_block.User) ?(jit = false) ~bytes_per_block ~n () =
+let straight_line t ~bytes_per_block ~n () =
   assert (n > 0);
   let first = t.count in
   for i = 0 to n - 1 do
     let term =
       if i = n - 1 then Basic_block.Halt else Basic_block.Fallthrough (t.count + 1)
     in
-    ignore (block t ~privilege ~jit ~bytes:bytes_per_block ~term ())
+    ignore (block t ~bytes:bytes_per_block ~term ())
   done;
   (first, t.count - 1)
 

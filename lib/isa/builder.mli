@@ -26,10 +26,11 @@ val block :
 val set_term : t -> int -> Basic_block.terminator -> unit
 (** Patches the terminator of an already-allocated block. *)
 
-val straight_line : t -> ?privilege:Basic_block.privilege -> ?jit:bool -> bytes_per_block:int -> n:int -> unit -> int * int
+val straight_line : t -> bytes_per_block:int -> n:int -> unit -> int * int
 (** [straight_line b ~bytes_per_block ~n ()] allocates a chain of [n]
-    fall-through blocks and returns [(first_id, last_id)].  The last block
-    gets a placeholder [Halt] terminator the caller should patch. *)
+    fall-through user-mode, non-JIT blocks and returns
+    [(first_id, last_id)].  The last block gets a placeholder [Halt]
+    terminator the caller should patch. *)
 
 val finish : t -> entry:int -> Program.t
 (** Lays out and freezes the program.  Every terminator target must be a

@@ -6,7 +6,7 @@
 
 type t
 
-val create : ?clock:(unit -> float) -> unit -> t
+val create : unit -> t
 val registry : t -> Registry.t
 val spans : t -> Span.t
 

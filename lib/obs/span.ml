@@ -10,7 +10,6 @@ type closed = {
 type open_span = { o_name : string; o_path : string; o_seq : int; o_start : float }
 
 type t = {
-  clock : unit -> float;
   epoch : float;
   mutable last : float;  (* monotonicity clamp *)
   mutable stack : open_span list;
@@ -19,12 +18,12 @@ type t = {
   mutable n_opened : int;
 }
 
-let create ?(clock = Unix.gettimeofday) () =
-  let t0 = clock () in
-  { clock; epoch = t0; last = t0; stack = []; closed_rev = []; n_closed = 0; n_opened = 0 }
+let create () =
+  let t0 = Unix.gettimeofday () in
+  { epoch = t0; last = t0; stack = []; closed_rev = []; n_closed = 0; n_opened = 0 }
 
 let now t =
-  let v = t.clock () in
+  let v = Unix.gettimeofday () in
   if v > t.last then t.last <- v;
   t.last
 

@@ -5,8 +5,8 @@
     name, and a span's {e path} is the ["/"]-joined chain of its open
     ancestors — ["pipeline/inject"] — which is what exports group by.
 
-    The clock is pluggable seconds-since-epoch; readings are clamped to
-    be monotone non-decreasing, so a stepped system clock can shorten a
+    The clock is [Unix.gettimeofday]; readings are clamped to be
+    monotone non-decreasing, so a stepped system clock can shorten a
     span to zero but never make it negative.  Durations are inherently
     nondeterministic and are therefore {e excluded} from {!Snapshot}
     views — only structure (paths, counts, nesting) crosses into
@@ -24,8 +24,7 @@ type closed = {
   stop_s : float;
 }
 
-val create : ?clock:(unit -> float) -> unit -> t
-(** [clock] defaults to [Unix.gettimeofday]. *)
+val create : unit -> t
 
 val epoch : t -> float
 (** The recorder's creation time — the trace's [ts = 0]. *)

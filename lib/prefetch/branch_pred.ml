@@ -3,16 +3,17 @@ let mix x =
   x lxor (x lsr 16)
 
 module Gshare = struct
+  let history_bits = 12
+  let table_bits = 12
+
   type t = {
-    history_bits : int;
     table : int array; (* 2-bit counters *)
     mutable history : int;
     mutable trained : int;
     mutable correct : int;
   }
 
-  let create ?(history_bits = 12) ?(table_bits = 12) () =
-    { history_bits; table = Array.make (1 lsl table_bits) 2; history = 0; trained = 0; correct = 0 }
+  let create () = { table = Array.make (1 lsl table_bits) 2; history = 0; trained = 0; correct = 0 }
 
   let index t ~pc = (mix pc lxor t.history) land (Array.length t.table - 1)
   let predict t ~pc = t.table.(index t ~pc) >= 2
@@ -23,7 +24,7 @@ module Gshare = struct
     t.trained <- t.trained + 1;
     if was_taken = taken then t.correct <- t.correct + 1;
     t.table.(i) <- (if taken then min 3 (t.table.(i) + 1) else max 0 (t.table.(i) - 1));
-    t.history <- ((t.history lsl 1) lor (if taken then 1 else 0)) land ((1 lsl t.history_bits) - 1)
+    t.history <- ((t.history lsl 1) lor (if taken then 1 else 0)) land ((1 lsl history_bits) - 1)
 
   let accuracy t = if t.trained = 0 then 0.0 else Float.of_int t.correct /. Float.of_int t.trained
 
@@ -40,9 +41,9 @@ end
 module Btb = struct
   type t = { tags : int array; targets : int array }
 
-  let create ?(entries = 8192) () =
-    assert (entries > 0 && entries land (entries - 1) = 0);
-    { tags = Array.make entries (-1); targets = Array.make entries 0 }
+  let entries = 8192
+
+  let create () = { tags = Array.make entries (-1); targets = Array.make entries 0 }
 
   let index t ~pc = mix pc land (Array.length t.tags - 1)
 

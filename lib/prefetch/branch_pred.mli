@@ -10,8 +10,8 @@
 module Gshare : sig
   type t
 
-  val create : ?history_bits:int -> ?table_bits:int -> unit -> t
-  (** Defaults: 12-bit global history, 4096-entry 2-bit counter table. *)
+  val create : unit -> t
+  (** 12-bit global history, 4096-entry 2-bit counter table. *)
 
   val predict : t -> pc:int -> bool
   (** Predicted taken? *)
@@ -29,8 +29,8 @@ end
 module Btb : sig
   type t
 
-  val create : ?entries:int -> unit -> t
-  (** Direct-mapped, default 8192 entries. *)
+  val create : unit -> t
+  (** Direct-mapped, 8192 entries. *)
 
   val predict : t -> pc:int -> int option
   (** Last observed target for this branch, if the entry matches. *)

@@ -177,5 +177,4 @@ let create_instrumented ?(ftq_depth = default_ftq_depth) ?(issue_width = default
   in
   (prefetcher, internals)
 
-let create ?ftq_depth ?issue_width ~program () =
-  fst (create_instrumented ?ftq_depth ?issue_width ~program ())
+let create ?ftq_depth ~program () = fst (create_instrumented ?ftq_depth ~program ())

@@ -23,15 +23,15 @@ type internals = {
   issued : unit -> int;  (** prefetch accesses issued *)
 }
 
-val create :
-  ?ftq_depth:int -> ?issue_width:int -> program:Program.t -> unit -> Prefetcher.t
+val create : ?ftq_depth:int -> program:Program.t -> unit -> Prefetcher.t
 (** [ftq_depth] defaults to 24 fetch targets, in line with the FTQ
-    sizing the IPC-1 studies use.  [issue_width], the prefetch lines
-    issued per fetched block, defaults to 2: finite fill bandwidth, so a
-    flushed front end takes several blocks to re-cover a new path, which
-    is where FDIP's residual misses come from. *)
+    sizing the IPC-1 studies use.  Two prefetch lines issue per fetched
+    block: finite fill bandwidth, so a flushed front end takes several
+    blocks to re-cover a new path, which is where FDIP's residual misses
+    come from. *)
 
 val create_instrumented :
   ?ftq_depth:int -> ?issue_width:int -> program:Program.t -> unit -> Prefetcher.t * internals
 (** Like {!create} but exposing predictor internals for tests and
-    diagnostics. *)
+    diagnostics; [issue_width] (default 2) sets the prefetch lines
+    issued per fetched block. *)

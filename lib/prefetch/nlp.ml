@@ -2,7 +2,7 @@ module Access = Ripple_cache.Access
 
 let filter_size = 4
 
-let create ?(degree = 1) ?(on_miss_only = false) () =
+let create ?(degree = 1) () =
   assert (degree >= 1);
   (* Last few trigger lines, to avoid re-issuing the same next-line
      request on every access within a line run. *)
@@ -13,8 +13,8 @@ let create ?(degree = 1) ?(on_miss_only = false) () =
     recent.(!head) <- line;
     head := (!head + 1) mod filter_size
   in
-  let on_demand ~line ~missed =
-    if (on_miss_only && missed) || ((not on_miss_only) && not (seen line)) then begin
+  let on_demand ~line ~missed:_ =
+    if not (seen line) then begin
       remember line;
       List.init degree (fun i -> Access.pack_prefetch ~line:(line + i + 1) ~block:(-1))
     end

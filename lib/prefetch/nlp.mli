@@ -7,11 +7,7 @@
     stream: it does not depend on cache contents, which is what lets the
     Demand-MIN analysis (and Ripple's injected invalidations) reason
     about it soundly.  A small filter suppresses the duplicate
-    next-line requests that sequential fetch would otherwise spray.
+    next-line requests that sequential fetch would otherwise spray. *)
 
-    [~on_miss_only:true] restores the miss-triggered variant (used by
-    the ablation bench to show why access-triggered is the right
-    model). *)
-
-val create : ?degree:int -> ?on_miss_only:bool -> unit -> Prefetcher.t
+val create : ?degree:int -> unit -> Prefetcher.t
 (** [degree] defaults to 1. *)

@@ -2,8 +2,8 @@ module Program = Ripple_isa.Program
 module Basic_block = Ripple_isa.Basic_block
 module Access = Ripple_cache.Access
 
-let default_table_entries = 2048
-let default_lines_per_signature = 6
+let table_entries = 2048
+let lines_per_signature = 6
 
 let storage_bits ~table_entries ~lines_per_signature =
   table_entries * (16 + (lines_per_signature * 26))
@@ -20,9 +20,7 @@ type entry = {
   mutable cursor : int; (* round-robin replacement within the entry *)
 }
 
-let create ?(table_entries = default_table_entries)
-    ?(lines_per_signature = default_lines_per_signature) ~program:_ () =
-  assert (table_entries > 0 && table_entries land (table_entries - 1) = 0);
+let create ~program:_ () =
   let table =
     Array.init table_entries (fun _ ->
         { tag = -1; lines = Array.make lines_per_signature (-1); cursor = 0 })

@@ -17,14 +17,8 @@
 
 module Program := Ripple_isa.Program
 
-val create :
-  ?table_entries:int ->
-  ?lines_per_signature:int ->
-  program:Program.t ->
-  unit ->
-  Prefetcher.t
-(** [table_entries] defaults to 2048 signatures, [lines_per_signature]
-    to 6. *)
+val create : program:Program.t -> unit -> Prefetcher.t
+(** A 2048-signature table of 6 lines per signature. *)
 
 val storage_bits : table_entries:int -> lines_per_signature:int -> int
 (** Metadata accounting: each entry holds a tag plus

@@ -62,7 +62,7 @@ let make ?store ~obs ~options ~window ~reemit_every ~name ~program () =
   Obs.Metric.set
     (Obs.Registry.gauge reg ~help:"access-stream backing: 0 heap, 1 mmap"
        "ripple_stream_backing")
-    (match backing with Ripple_util.Int_stream.Heap -> 0.0 | Ripple_util.Int_stream.Spill _ -> 1.0);
+    (match backing with Ripple_util.Int_stream.Heap -> 0.0 | Ripple_util.Int_stream.Spill -> 1.0);
   {
     name;
     source = program;
@@ -227,7 +227,7 @@ let do_flush t =
     ~errors:(List.length r.Pt.errors);
   (match Rolling.backing t.rolling with
   | Ripple_util.Int_stream.Heap -> ()
-  | Ripple_util.Int_stream.Spill _ ->
+  | Ripple_util.Int_stream.Spill ->
     Obs.Metric.add t.cells.stream_spill_bytes (8 * Array.length r.Pt.trace));
   t.pt <- Pt.Session.create t.source;
   t.since_emit <- 0;

@@ -25,8 +25,8 @@ let magic = "RPLSNAP3"
 let journal_magic = 'K'
 
 (* FNV-1a 64 over a byte range: the integrity check for both formats. *)
-let fnv64 ?(init = 0xcbf29ce484222325L) b pos len =
-  let h = ref init in
+let fnv64 b pos len =
+  let h = ref 0xcbf29ce484222325L in
   for i = pos to pos + len - 1 do
     h := Int64.logxor !h (Int64.of_int (Char.code (Bytes.get b i)));
     h := Int64.mul !h 0x100000001b3L

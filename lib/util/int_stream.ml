@@ -5,14 +5,13 @@ let chunk_entries = 1 lsl chunk_bits
 let chunk_mask = chunk_entries - 1
 let word_bytes = 8
 
-type backing = Heap | Spill of { dir : string option }
+type backing = Heap | Spill
 
-let spill ?dir () = Spill { dir }
-let backing_name = function Heap -> "heap" | Spill _ -> "mmap"
+let backing_name = function Heap -> "heap" | Spill -> "mmap"
 
 let backing_of_string = function
   | "heap" -> Ok Heap
-  | "mmap" | "spill" -> Ok (Spill { dir = None })
+  | "mmap" | "spill" -> Ok Spill
   | s -> Error (Printf.sprintf "unknown backing %S (expected heap or mmap)" s)
 
 (* ---- Spill-file registry -------------------------------------------- *)
@@ -156,7 +155,7 @@ module Builder = struct
     let buf =
       match backing with
       | Heap -> Bytes.empty
-      | Spill _ -> Bytes.create (chunk_entries * word_bytes)
+      | Spill -> Bytes.create (chunk_entries * word_bytes)
     in
     { backing; chunks = [||]; last = [||]; last_len = 0; full_len = 0;
       buf; chan = None; file = None }
@@ -168,8 +167,7 @@ module Builder = struct
     match b.chan with
     | Some chan -> chan
     | None ->
-        let dir = match b.backing with Spill { dir } -> dir | Heap -> None in
-        let path = Filename.temp_file ?temp_dir:dir "ripple-spill-" ".bin" in
+        let path = Filename.temp_file "ripple-spill-" ".bin" in
         let sf = { path; unlinked = false } in
         register_spill sf;
         let chan = open_out_bin path in
@@ -194,7 +192,7 @@ module Builder = struct
         end;
         Array.unsafe_set b.last b.last_len p;
         b.last_len <- b.last_len + 1
-    | Spill _ ->
+    | Spill ->
         Bytes.set_int64_ne b.buf (b.last_len * word_bytes) (Int64.of_int p);
         b.last_len <- b.last_len + 1;
         if b.last_len = chunk_entries then begin
@@ -251,7 +249,7 @@ module Builder = struct
         (* Reset so reusing the builder cannot alias the frozen chunks. *)
         reset b;
         { storage = Chunks chunks; length }
-    | Spill _ ->
+    | Spill ->
         let length = length b in
         if length = 0 then begin
           abort b;
@@ -318,9 +316,9 @@ module Scratch = struct
     if n < 0 then invalid_arg "Int_stream.Scratch.make";
     match backing with
     | Heap -> Sheap (Array.make n x)
-    | Spill _ when n = 0 -> Sheap [||]
-    | Spill { dir } ->
-        let path = Filename.temp_file ?temp_dir:dir "ripple-scratch-" ".bin" in
+    | Spill when n = 0 -> Sheap [||]
+    | Spill ->
+        let path = Filename.temp_file "ripple-scratch-" ".bin" in
         let fd = Unix.openfile path [ Unix.O_RDWR ] 0o600 in
         let arr =
           Fun.protect

@@ -18,11 +18,9 @@
 
 type backing =
   | Heap  (** [int array] chunks; the default. *)
-  | Spill of { dir : string option }
-      (** An mmap-backed temp file under [dir] (default: the system temp
-          directory). *)
-
-val spill : ?dir:string -> unit -> backing
+  | Spill
+      (** An mmap-backed temp file in the system temp directory
+          ([Filename.get_temp_dir_name], which [TMPDIR] sets). *)
 
 val backing_name : backing -> string
 (** ["heap"] or ["mmap"]. *)

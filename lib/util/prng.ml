@@ -20,6 +20,15 @@ let create ~seed =
   let s3 = if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then 1L else s3 in
   { s0; s1; s2; s3 }
 
+let seed_of_string s =
+  let h = ref 0x811c9dc5 in
+  String.iter
+    (fun c ->
+      h := !h lxor Char.code c;
+      h := !h * 0x01000193 land 0x3FFFFFFF)
+    s;
+  !h
+
 let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
 
 let copy_into ~src ~dst =

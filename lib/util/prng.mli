@@ -13,6 +13,12 @@ val create : seed:int -> t
 (** [create ~seed] builds a generator deterministically from [seed].
     Equal seeds always yield equal streams. *)
 
+val seed_of_string : string -> int
+(** FNV-1a over the bytes of a cell key, each step masked to 30 bits:
+    the per-cell seed of sweeps and chaos runs, so two cells whose keys
+    differ draw independent streams and the same cell draws the same
+    stream in every run. *)
+
 val copy : t -> t
 (** [copy t] is an independent generator with the same current state. *)
 

@@ -35,7 +35,7 @@ val run_stream :
   ?backing:Ripple_util.Int_stream.backing -> Cfg_gen.t -> input:input -> n_instrs:int ->
   Ripple_util.Int_stream.t
 (** {!run} writing straight into an {!Ripple_util.Int_stream} builder:
-    with [~backing:(Spill _)] the block trace streams through a
+    with [~backing:Spill] the block trace streams through a
     fixed-size buffer to an mmap-backed spill file, so a paper-scale
     (100 M-instruction) trace never materializes in the heap.  Entry
     [i] equals [(run w ~input ~n_instrs).(i)]. *)

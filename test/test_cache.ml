@@ -200,7 +200,7 @@ let test_srrip_victim_progress () =
 
 let test_drrip_behaves () =
   let c =
-    run_policy (Rrip.drrip ())
+    run_policy Rrip.drrip
       (List.concat_map (fun i -> [ i * 2; i * 2 ]) (List.init 40 (fun i -> i)))
   in
   checki "full set" 2 (Cache.occupancy c ~set:0)
@@ -209,7 +209,7 @@ let test_ghrp_tracks_and_survives () =
   (* A hot line interleaved with a cold scan: GHRP must keep working and
      serve hits on the hot line. *)
   let accesses = List.concat_map (fun i -> [ 0; (i * 2) mod 24 ]) (List.init 200 (fun i -> i)) in
-  let c = run_policy (Ghrp.make ()) accesses in
+  let c = run_policy Ghrp.make accesses in
   checki "full set" 2 (Cache.occupancy c ~set:0);
   checkb "some hits happened" true ((Cache.stats c).Stats.demand_misses < 400)
 
@@ -217,7 +217,7 @@ let test_hawkeye_mostly_friendly () =
   (* A looping pattern that fits: Hawkeye should behave LRU-ish and
      classify PCs as cache-friendly (the paper's >99% observation). *)
   let geometry = Geometry.l1i in
-  let c = Cache.create ~geometry ~policy:(Hawkeye.make ()) () in
+  let c = Cache.create ~geometry ~policy:(Hawkeye.make ~ehc:false) () in
   for _ = 1 to 200 do
     for line = 0 to 200 do
       ignore (Cache.access c (Access.demand ~line ~block:line))
@@ -231,9 +231,9 @@ let test_policy_storage_accounting () =
   checki "srrip bits" 1024 (Rrip.srrip ~sets ~ways).Policy.storage_bits;
   checki "random bits" 0 (Random_policy.make ~seed:0 ~sets ~ways).Policy.storage_bits;
   (* GHRP ~4.1 KiB, Hawkeye ~5.2 KiB per Table I. *)
-  let ghrp_bytes = (Ghrp.make () ~sets ~ways).Policy.storage_bits / 8 in
+  let ghrp_bytes = (Ghrp.make ~sets ~ways).Policy.storage_bits / 8 in
   checkb "ghrp ~4KiB" true (ghrp_bytes > 3500 && ghrp_bytes < 4800);
-  let hawkeye_bytes = (Hawkeye.make () ~sets ~ways).Policy.storage_bits / 8 in
+  let hawkeye_bytes = (Hawkeye.make ~ehc:false ~sets ~ways).Policy.storage_bits / 8 in
   checkb "hawkeye ~5.2KiB" true (hawkeye_bytes > 4500 && hawkeye_bytes < 6000)
 
 (* LRU property: accessing up to [ways] distinct lines of one set keeps

@@ -259,7 +259,7 @@ let test_run_trace_stream_equivalence () =
   let warmup = Array.length trace / 2 in
   let policy = Cache.Lru.make and prefetcher = Simulator.prefetcher_fdip in
   let from_blocks = Simulator.run ~warmup ~program ~trace ~policy ~prefetcher () in
-  let stream = Int_stream.of_array ~backing:(Int_stream.spill ()) trace in
+  let stream = Int_stream.of_array ~backing:Int_stream.Spill trace in
   let from_stream =
     fst
       (Simulator.run_trace ~warmup ~program ~trace:(Simulator.Trace.Stream stream) ~policy

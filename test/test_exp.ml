@@ -282,7 +282,7 @@ let test_backing_shard_jsonl_identity () =
   let baseline = Exp.Report.to_jsonl (Exp.Runner.run ~jobs:2 ~quiet:true specs) in
   let spill =
     Exp.Report.to_jsonl
-      (Exp.Runner.run ~backing:(Ripple_util.Int_stream.spill ()) ~jobs:2 ~quiet:true specs)
+      (Exp.Runner.run ~backing:Ripple_util.Int_stream.Spill ~jobs:2 ~quiet:true specs)
   in
   Alcotest.(check string) "mmap backing JSONL byte-identical" baseline spill;
   let sharded = Exp.Report.to_jsonl (Exp.Runner.run ~shards:3 ~jobs:1 ~quiet:true specs) in
@@ -332,11 +332,7 @@ let test_registry_complete () =
   Alcotest.(check bool) "registry non-empty" true (List.length Cache.Registry.all >= 7);
   List.iter
     (fun (e : Cache.Registry.entry) ->
-      let p =
-        e.Cache.Registry.factory ~seed:1
-          ~params:(Cache.Registry.Param.defaults e.Cache.Registry.params)
-          ~sets ~ways
-      in
+      let p = e.Cache.Registry.factory ~seed:1 ~sets ~ways in
       Alcotest.(check bool)
         (e.Cache.Registry.name ^ " storage_bits sane")
         true
@@ -348,7 +344,10 @@ let test_registry_complete () =
          v >= 0 && v < ways))
     Cache.Registry.all;
   Alcotest.(check bool) "find is case-insensitive" true (Cache.Registry.find "LRU" <> None);
-  Alcotest.(check bool) "unknown name rejected" true (Cache.Registry.find "plru" = None);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " rejected") true (Cache.Registry.find name = None))
+    [ "plru"; "drrip:throttle=16" ];
   match Cache.Registry.find_exn "nope" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "find_exn should raise on unknown names"

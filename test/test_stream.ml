@@ -103,7 +103,7 @@ let belady_equal (a : Belady.result) (b : Belady.result) = a = b
 
 module Int_stream = Ripple_util.Int_stream
 
-let spill_backing = Access_stream.Spill { dir = None }
+let spill_backing = Access_stream.Spill
 
 let prop_spill_backing_unobservable =
   (* Every accessor observes the identical sequence whether the words
@@ -209,7 +209,7 @@ let prop_scratch_backing_equivalence =
     QCheck.(pair (int_range 1 5000) (list_of_size (Gen.int_range 0 200) (pair small_nat int)))
     (fun (n, writes) ->
       let heap = Int_stream.Scratch.make n (-1) in
-      let spill = Int_stream.Scratch.make ~backing:(Int_stream.spill ()) n (-1) in
+      let spill = Int_stream.Scratch.make ~backing:Int_stream.Spill n (-1) in
       List.iter
         (fun (i, x) ->
           let i = i mod n in

@@ -94,7 +94,7 @@ let test_executor_run_stream_equals_run () =
         (Int_stream.backing_name backing ^ " stream equals array")
         arr (Int_stream.to_array s);
       Int_stream.close s)
-    [ Int_stream.Heap; Int_stream.spill () ];
+    [ Int_stream.Heap; Int_stream.Spill ];
   checki "no spill files leaked" 0 (List.length (Int_stream.Spill.live ()))
 
 let test_executor_inputs_differ () =

@@ -1,9 +1,8 @@
-(* Tests for the set-dueling substrate, the parameterized policy
-   registry, and the policy zoo that rides on both: the DRRIP port is
-   pinned byte-identical to its historical inline implementation, every
-   registry entry (at default and non-default parameters) satisfies the
-   policy contract under random traffic, and the fill-decision bypass
-   hook is accounted correctly by the cache core. *)
+(* Tests for the set-dueling substrate and the policy zoo that rides on
+   it: the DRRIP port is pinned byte-identical to its historical inline
+   implementation, every registry entry satisfies the policy contract
+   under random traffic, and the fill-decision bypass hook is accounted
+   correctly by the cache core. *)
 
 module Geometry = Ripple_cache.Geometry
 module Cache = Ripple_cache.Cache
@@ -17,12 +16,11 @@ module Rrip = Ripple_cache.Rrip
 let check = Alcotest.check
 let checki = check Alcotest.int
 let checkb = check Alcotest.bool
-let checks = check Alcotest.string
 
 (* ----------------------------- Dueling ------------------------------ *)
 
 let test_dueling_roles () =
-  let d = Dueling.make ~sets:64 () in
+  let d = Dueling.make ~sets:64 in
   let expect set role = Dueling.role d ~set = role in
   List.iter
     (fun set -> checkb (Printf.sprintf "set %d leads A" set) true (expect set Dueling.Leader_a))
@@ -34,13 +32,13 @@ let test_dueling_roles () =
     (fun set -> checkb (Printf.sprintf "set %d follows" set) true (expect set Dueling.Follower))
     [ 1; 7; 9; 15; 17; 63 ];
   (* Tiny caches still get their one A leader even when sets < spacing. *)
-  let tiny = Dueling.make ~sets:2 () in
+  let tiny = Dueling.make ~sets:2 in
   checkb "set 0 leads A in a 2-set cache" true (Dueling.role tiny ~set:0 = Dueling.Leader_a);
   checkb "set 1 follows" true (Dueling.role tiny ~set:1 = Dueling.Follower)
 
 let test_dueling_training_and_flips () =
-  let d = Dueling.make ~sets:64 () in
-  let mid = ((1 lsl Dueling.psel_bits d) - 1) / 2 in
+  let d = Dueling.make ~sets:64 in
+  let mid = ((1 lsl Dueling.psel_bits) - 1) / 2 in
   checki "psel starts at midpoint" mid (Dueling.psel d);
   checkb "followers start on A" false (Dueling.selects_b d ~set:1);
   checkb "A leader pinned to A" false (Dueling.selects_b d ~set:0);
@@ -58,20 +56,19 @@ let test_dueling_training_and_flips () =
   checki "follower misses train nothing" mid (Dueling.psel d)
 
 let test_dueling_saturation () =
-  let d = Dueling.make ~sets:64 ~psel_bits:4 () in
-  let max = (1 lsl 4) - 1 in
-  for _ = 1 to 100 do
+  let d = Dueling.make ~sets:64 in
+  for _ = 1 to 1000 do
     Dueling.train_miss d ~set:0
   done;
-  checki "psel saturates high" max (Dueling.psel d);
-  for _ = 1 to 200 do
+  checki "psel saturates high" 1023 (Dueling.psel d);
+  for _ = 1 to 2000 do
     Dueling.train_miss d ~set:8
   done;
   checki "psel floors at zero" 0 (Dueling.psel d);
-  checki "storage is the psel counter" 4 (Dueling.storage_bits d)
+  checki "storage is the 10-bit psel counter" 10 (Dueling.storage_bits d)
 
 let test_dueling_save_restore () =
-  let d = Dueling.make ~sets:64 () in
+  let d = Dueling.make ~sets:64 in
   Dueling.train_miss d ~set:0;
   Dueling.train_miss d ~set:0;
   let restore = Dueling.save d in
@@ -84,47 +81,6 @@ let test_dueling_save_restore () =
   checki "a_misses restored" a (Dueling.a_misses d);
   checki "b_misses restored" 0 (Dueling.b_misses d);
   checki "flips restored" f (Dueling.flips d)
-
-(* ----------------------- Registry spec parsing ----------------------- *)
-
-let test_spec_parse_and_canonical () =
-  checks "bare name" "drrip" (Registry.canonical "drrip");
-  checks "default-valued override dropped" "drrip" (Registry.canonical "drrip:spacing=16");
-  checks "overrides sort by key" "drrip:psel_bits=8,throttle=16"
-    (Registry.canonical "drrip:throttle=16,psel_bits=8");
-  checks "'+' separates pairs too" "drrip:psel_bits=8,throttle=16"
-    (Registry.canonical "drrip:throttle=16+psel_bits=8");
-  checks "bool override" "ship-sb:bypass=false" (Registry.canonical "ship-sb:bypass=false");
-  checks "case-insensitive name" "lru" (Registry.canonical "LRU")
-
-let expect_error spec fragment =
-  match Registry.parse_spec spec with
-  | Ok _ -> Alcotest.failf "%S unexpectedly parsed" spec
-  | Error msg ->
-    let has_sub s sub =
-      let n = String.length s and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-      go 0
-    in
-    if not (has_sub msg fragment) then
-      Alcotest.failf "error for %S lacks %S: %s" spec fragment msg
-
-let test_spec_errors () =
-  expect_error "nosuch" "unknown policy";
-  expect_error "nosuch" "drrip" (* lists the known names *);
-  expect_error "drrip:nokey=1" "unknown parameter";
-  expect_error "drrip:nokey=1" "throttle" (* lists the known keys *);
-  expect_error "lru:x=1" "takes no parameters";
-  expect_error "drrip:throttle=maybe" "expects int";
-  expect_error "drrip:throttle=1.5" "expects int";
-  expect_error "ship-sb:bypass=7" "expects bool";
-  expect_error "drrip:throttle" "malformed parameter"
-
-let test_spec_params_resolution () =
-  let spec = Registry.parse_spec_exn "drrip:throttle=16" in
-  let params = Registry.spec_params spec in
-  checki "override wins" 16 (Registry.Param.get_int params "throttle");
-  checki "default survives" 10 (Registry.Param.get_int params "psel_bits")
 
 (* ----------------------- DRRIP byte-identity ------------------------ *)
 
@@ -237,46 +193,14 @@ let drrip_byte_identity =
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let trace = random_trace seed 6_000 in
-      replay (Rrip.drrip ()) trace = replay reference_drrip trace)
+      replay Rrip.drrip trace = replay reference_drrip trace)
 
 let test_drrip_identity_storage () =
-  let p = Rrip.drrip () ~sets:64 ~ways:4 in
+  let p = Rrip.drrip ~sets:64 ~ways:4 in
   let r = reference_drrip ~sets:64 ~ways:4 in
   checki "storage accounting unchanged by the port" r.Policy.storage_bits p.Policy.storage_bits
 
 (* ----------------- Policy-contract properties (zoo) ------------------ *)
-
-(* Every registry entry, each at defaults and (when it has knobs) at
-   least one non-default parameterization. *)
-let variant_specs =
-  [
-    "drrip:psel_bits=8";
-    "drrip:throttle=16";
-    "drrip:spacing=32";
-    "hawkeye:harmony=false";
-    "trrip:table_bits=8";
-    "trrip:hot=3";
-    "ehc-hawkeye:harmony=false";
-    "ehc-hawkeye:max_hits=3";
-    "ship-sb:bypass=false";
-    "ship-sb:throttle=8";
-    "ship-sb:stream_window=4";
-  ]
-
-let zoo_specs =
-  List.map (fun (e : Registry.entry) -> e.Registry.name) Registry.all @ variant_specs
-
-let test_variants_cover_every_parameterized_entry () =
-  List.iter
-    (fun (e : Registry.entry) ->
-      if e.Registry.params <> [] then
-        checkb
-          (Printf.sprintf "%s has a non-default variant under test" e.Registry.name)
-          true
-          (List.exists
-             (fun v -> (Registry.parse_spec_exn v).Registry.policy = e.Registry.name)
-             variant_specs))
-    Registry.all
 
 (* Wrap a policy so every victim consultation is range-checked. *)
 let range_checked ~ways (p : Policy.t) =
@@ -290,17 +214,17 @@ let range_checked ~ways (p : Policy.t) =
         v);
   }
 
-(* [prop ~geometry spec] for every zoo spec on every zoo geometry. *)
+(* [prop ~geometry name] for every registry entry on every zoo geometry. *)
 let for_zoo prop =
-  List.for_all (fun geometry -> List.for_all (prop ~geometry) zoo_specs) zoo_geometries
+  List.for_all (fun geometry -> List.for_all (prop ~geometry) Registry.names) zoo_geometries
 
 let zoo_victims_in_range =
   QCheck.Test.make ~count:5 ~name:"every zoo policy's victims stay in range"
     QCheck.(int_range 0 1000)
     (fun seed ->
       let trace = random_trace seed 4_000 in
-      for_zoo (fun ~geometry spec ->
-          let factory ~sets ~ways = range_checked ~ways (Registry.factory spec ~sets ~ways) in
+      for_zoo (fun ~geometry name ->
+          let factory ~sets ~ways = range_checked ~ways (Registry.factory name ~sets ~ways) in
           let c = Cache.create ~geometry ~policy:factory () in
           Array.iter (fun acc -> ignore (Cache.access c acc)) trace;
           true))
@@ -319,8 +243,8 @@ let zoo_save_restore_roundtrip =
     (fun seed ->
       let warm = random_trace seed 3_000 in
       let probe = random_trace (seed + 1) 3_000 in
-      for_zoo (fun ~geometry spec ->
-          let c = Cache.create ~geometry ~policy:(Registry.factory spec) () in
+      for_zoo (fun ~geometry name ->
+          let c = Cache.create ~geometry ~policy:(Registry.factory name) () in
           Array.iter (fun acc -> ignore (Cache.access c acc)) warm;
           let restore = Cache.save c in
           let run () =
@@ -337,13 +261,13 @@ let zoo_psel_never_overflows =
     QCheck.(int_range 0 1000)
     (fun seed ->
       let trace = random_trace seed 4_000 in
-      for_zoo (fun ~geometry spec ->
-          let c = Cache.create ~geometry ~policy:(Registry.factory spec) () in
+      for_zoo (fun ~geometry name ->
+          let c = Cache.create ~geometry ~policy:(Registry.factory name) () in
           Array.iter (fun acc -> ignore (Cache.access c acc)) trace;
           match Cache.duel c with
           | None -> true
           | Some d ->
-            let max = (1 lsl Dueling.psel_bits d) - 1 in
+            let max = (1 lsl Dueling.psel_bits) - 1 in
             Dueling.psel d >= 0 && Dueling.psel d <= max))
 
 (* ------------------------ Bypass accounting ------------------------- *)
@@ -393,9 +317,7 @@ let test_ship_sb_bypasses_streams () =
       ignore (Cache.access c (Access.demand ~line:(rep * 4096 + (i * 64)) ~block:0))
     done
   done;
-  checkb "streaming sweep triggers bypasses" true ((Cache.stats c).Stats.fill_bypasses > 0);
-  let off = Cache.create ~geometry:geometry_64x4 ~policy:(Registry.factory "ship-sb:bypass=false") () in
-  checkb "bypass=false disables the capability" false (Cache.may_bypass off)
+  checkb "streaming sweep triggers bypasses" true ((Cache.stats c).Stats.fill_bypasses > 0)
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -407,14 +329,6 @@ let suites =
         Alcotest.test_case "training and flips" `Quick test_dueling_training_and_flips;
         Alcotest.test_case "psel saturation" `Quick test_dueling_saturation;
         Alcotest.test_case "save/restore" `Quick test_dueling_save_restore;
-      ] );
-    ( "zoo.registry",
-      [
-        Alcotest.test_case "spec parse and canonical form" `Quick test_spec_parse_and_canonical;
-        Alcotest.test_case "spec errors" `Quick test_spec_errors;
-        Alcotest.test_case "spec param resolution" `Quick test_spec_params_resolution;
-        Alcotest.test_case "variants cover every entry" `Quick
-          test_variants_cover_every_parameterized_entry;
       ] );
     ( "zoo.drrip-port",
       [
