@@ -27,9 +27,13 @@
 # `|>` and the like; labels inside nested brackets belong to other
 # calls.
 #
+# Every lib/**/*.ml must have a sibling .mli: a module without an
+# interface exports everything, and neither rule above can see it.
+#
 # Run from the repository root: sh .github/export-gate.sh
-# Prints each offender as "<file.mli>: <name>" or
-# "<file.mli>: <name> ?<label>" and exits 1 if any.
+# Prints each offender as "<file.mli>: <name>",
+# "<file.mli>: <name> ?<label>" or "<file.ml>: no interface" and
+# exits 1 if any.
 set -eu
 exec python3 - lib bin bench examples perfbench test <<'EOF'
 import os
@@ -212,6 +216,10 @@ def passed(text, at):
 
 
 status = 0
+for ml in sorted(f for f in texts if f.startswith("lib/") and f.endswith(".ml")):
+    if ml + "i" not in texts:
+        print(f"{ml}: no interface")
+        status = 1
 for mli in sorted(f for f in texts if f.startswith("lib/") and f.endswith(".mli")):
     base = mli[: -len(".mli")]
     module = os.path.basename(base).capitalize()

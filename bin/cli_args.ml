@@ -168,15 +168,6 @@ let sampling_term =
         else Some (Ripple_cpu.Simulator.Sampling.v ~seed ~windows ~window_blocks ()))
     $ sample_windows_arg $ sample_window_blocks_arg $ sample_seed_arg)
 
-let shards_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Partition each oracle cell's cache sets across $(docv) domains (set-sharded \
-           ideal replacement).  Results are byte-identical for every $(docv).")
-
 (* Geometry bundle: one --sets/--ways/--line vocabulary for every
    subcommand that analyses or simulates a cache, defaulting to
    {!Ripple_cache.Geometry.l1i} (64 sets, 8 ways, 64-byte lines —

@@ -25,8 +25,7 @@ let infinity_idx = max_int
    access to the same line, strictly after access i.  One backward pass
    over the packed stream; no access is ever boxed.  The tables are
    2 words per access — at 100 M accesses they dominate peak memory, so
-   they can live in unlinked mmap scratch instead of the heap, and
-   set-sharded runs share one read-only copy across domains. *)
+   they can live in unlinked mmap scratch instead of the heap. *)
 type tables = { next_demand : Scratch.t; next_prefetch : Scratch.t }
 
 let prepare ?backing (stream : Access_stream.t) =
@@ -52,20 +51,14 @@ let close_tables t =
   Scratch.close t.next_demand;
   Scratch.close t.next_prefetch
 
-let simulate ?tables ?sets:set_range ?(record_fills = false) ?(record_evictions = true)
+let simulate ?tables ?(record_fills = false) ?(record_evictions = true)
     ?(on_fill = fun ~index:_ _ -> ()) ?(count_from = 0) geometry ~mode
     (stream : Access_stream.t) =
   let owned_tables = match tables with None -> Some (prepare stream) | Some _ -> None in
   let tbl = match tables with Some t -> t | None -> Option.get owned_tables in
   let nd j = Scratch.get tbl.next_demand j and np j = Scratch.get tbl.next_prefetch j in
   let sets = Geometry.sets geometry and ways = geometry.Geometry.ways in
-  let set_lo, set_hi = match set_range with None -> (0, sets) | Some r -> r in
-  if set_lo < 0 || set_hi > sets || set_lo > set_hi then
-    invalid_arg
-      (Printf.sprintf "Belady.simulate: set range [%d,%d) outside [0,%d)" set_lo set_hi sets);
-  (* Per-slot resident line and its most recent access index; only the
-     [set_lo, set_hi) slice is ever touched, so sharded runs could slim
-     this, but sets*ways words is negligible next to the tables. *)
+  (* Per-slot resident line and its most recent access index. *)
   let tags = Array.make (sets * ways) (-1) in
   let last_idx = Array.make (sets * ways) (-1) in
   let seen = Hashtbl.create 65536 in
@@ -148,51 +141,49 @@ let simulate ?tables ?sets:set_range ?(record_fills = false) ?(record_evictions 
     (fun i acc ->
       let line = Access.packed_line acc in
       let set = Geometry.set_of_line geometry line in
-      if set >= set_lo && set < set_hi then begin
-        let counted = i >= count_from in
-        let is_demand = Access.packed_is_demand acc in
-        (if is_demand then (if counted then incr demand_accesses)
-         else if counted then incr prefetch_accesses);
-        let hit_way = find_way set line in
-        if hit_way >= 0 then last_idx.((set * ways) + hit_way) <- i
-        else begin
-          on_fill ~index:i acc;
-          push_fill i;
-          (if is_demand then begin
-             if counted then incr demand_misses;
-             if not (Hashtbl.mem seen line) then begin
-               Hashtbl.add seen line ();
-               if counted then incr demand_misses_cold
-             end
+      let counted = i >= count_from in
+      let is_demand = Access.packed_is_demand acc in
+      (if is_demand then (if counted then incr demand_accesses)
+       else if counted then incr prefetch_accesses);
+      let hit_way = find_way set line in
+      if hit_way >= 0 then last_idx.((set * ways) + hit_way) <- i
+      else begin
+        on_fill ~index:i acc;
+        push_fill i;
+        (if is_demand then begin
+           if counted then incr demand_misses;
+           if not (Hashtbl.mem seen line) then begin
+             Hashtbl.add seen line ();
+             if counted then incr demand_misses_cold
            end
-           else begin
-             Hashtbl.replace seen line ();
-             if counted then incr prefetch_fills
-           end);
-          let way =
-            let free = free_way set in
-            if free >= 0 then free
-            else begin
-              let way = choose_victim set in
-              let slot = (set * ways) + way in
-              let j = last_idx.(slot) in
-              let next =
-                let ndj = nd j and npj = np j in
-                if ndj = infinity_idx && npj = infinity_idx then Never
-                else if npj < ndj then Next_prefetch
-                else Next_demand
-              in
-              if record_evictions then
-                evictions :=
-                  { at = i; line = tags.(slot); set; last_use = j; next } :: !evictions;
-              incr n_evictions;
-              way
-            end
-          in
-          let slot = (set * ways) + way in
-          tags.(slot) <- line;
-          last_idx.(slot) <- i
-        end
+         end
+         else begin
+           Hashtbl.replace seen line ();
+           if counted then incr prefetch_fills
+         end);
+        let way =
+          let free = free_way set in
+          if free >= 0 then free
+          else begin
+            let way = choose_victim set in
+            let slot = (set * ways) + way in
+            let j = last_idx.(slot) in
+            let next =
+              let ndj = nd j and npj = np j in
+              if ndj = infinity_idx && npj = infinity_idx then Never
+              else if npj < ndj then Next_prefetch
+              else Next_demand
+            in
+            if record_evictions then
+              evictions :=
+                { at = i; line = tags.(slot); set; last_use = j; next } :: !evictions;
+            incr n_evictions;
+            way
+          end
+        in
+        let slot = (set * ways) + way in
+        tags.(slot) <- line;
+        last_idx.(slot) <- i
       end)
     stream;
   (match owned_tables with Some t -> close_tables t | None -> ());
@@ -207,34 +198,6 @@ let simulate ?tables ?sets:set_range ?(record_fills = false) ?(record_evictions 
     evictions = Array.of_list (List.rev !evictions);
     fills = Array.sub !fills 0 !fills_len;
   }
-
-let merge = function
-  | [] -> invalid_arg "Belady.merge: empty"
-  | first :: _ as results ->
-      let mode = first.mode in
-      List.iter
-        (fun r -> if r.mode <> mode then invalid_arg "Belady.merge: mixed modes")
-        results;
-      let evictions = Array.concat (List.map (fun r -> r.evictions) results) in
-      (* Each access index fills at most one set, so [at] / fill indices
-         are unique across shards and the merged order is exactly the
-         unsharded stream order. *)
-      Array.sort (fun a b -> compare a.at b.at) evictions;
-      let fills = Array.concat (List.map (fun r -> r.fills) results) in
-      Array.sort (fun (a : int) b -> compare a b) fills;
-      {
-        mode;
-        demand_accesses = List.fold_left (fun a r -> a + r.demand_accesses) 0 results;
-        demand_misses = List.fold_left (fun a r -> a + r.demand_misses) 0 results;
-        demand_misses_cold =
-          List.fold_left (fun a r -> a + r.demand_misses_cold) 0 results;
-        prefetch_accesses =
-          List.fold_left (fun a r -> a + r.prefetch_accesses) 0 results;
-        prefetch_fills = List.fold_left (fun a r -> a + r.prefetch_fills) 0 results;
-        n_evictions = List.fold_left (fun a r -> a + r.n_evictions) 0 results;
-        evictions;
-        fills;
-      }
 
 let mpki result ~instructions =
   if instructions = 0 then 0.0

@@ -48,23 +48,23 @@ type result = {
   fills : int array;
       (** stream indices of every filling access (demand misses and
           prefetch fills), increasing — empty unless [record_fills] was
-          set; sharded runs record them so a merged result can replay
-          the memory hierarchy in exact stream order. *)
+          set; a recorded replay lets {!Ripple_cpu.Simulator.oracle}
+          drive the memory hierarchy in exact stream order without
+          re-running the Belady pass. *)
 }
 
 type tables
 (** Precomputed next-use tables for one stream: 2 words per access, the
-    oracle's entire O(n) working set.  Prepared once, they are read-only
-    and safely shared across domains — every shard of a set-sharded run
-    reads the same copy — and with a [Spill] backing they live in
-    unlinked mmap scratch instead of the heap. *)
+    oracle's entire O(n) working set.  Prepared once, they are read-only,
+    so several replays over the same stream can share them, and with a
+    [Spill] backing they live in unlinked mmap scratch instead of the
+    heap. *)
 
 val prepare : ?backing:Access_stream.backing -> Access_stream.t -> tables
 val close_tables : tables -> unit
 
 val simulate :
   ?tables:tables ->
-  ?sets:int * int ->
   ?record_fills:bool ->
   ?record_evictions:bool ->
   ?on_fill:(index:int -> Access.packed -> unit) ->
@@ -84,21 +84,11 @@ val simulate :
     index — steady-state measurement after a cache warm-up.
 
     [tables] reuses next-use tables from {!prepare} (they are left open);
-    without it the tables are built and released internally.  [sets]
-    restricts the replay to cache sets in [\[lo, hi)]: lines partition
-    by set, so counters, evictions and fills of disjoint ranges are
-    disjoint and {!merge} reassembles the exact unsharded result.
+    without it the tables are built and released internally.
     [record_fills] captures the fill indices in [result.fills].
     [record_evictions] (default [true]) keeps the boxed eviction
     records; callers that only need counters and fills — the oracle
-    timing replay, set-sharded runs — pass [false] so the replay's heap
-    stays O(1) in the stream length ([result.n_evictions] still carries
-    the tally). *)
-
-val merge : result list -> result
-(** Reassembles per-set-range shard results (counters summed, evictions
-    and fills re-sorted into stream order).  Because every access lands
-    in exactly one set, merging the shards of a partition of [\[0,
-    sets)] is byte-identical to the unsharded replay. *)
+    timing replay — pass [false] so the replay's heap stays O(1) in the
+    stream length ([result.n_evictions] still carries the tally). *)
 
 val mpki : result -> instructions:int -> float

@@ -32,6 +32,14 @@ type sampler = {
 
 let ehc_entries = 2048
 
+(* EHC refinement (Vakil-Ghahani et al. 2018): count hits per resident
+   line, learn a per-PC expected hit count on eviction, and break
+   highest-RRPV victim ties towards the line with the fewest expected
+   remaining hits.  A set duel arbitrates plain vs. refined victim
+   selection; with every tie equal it degenerates to plain Hawkeye.
+   Plain Hawkeye carries none of this state. *)
+type ehc = { duel : Dueling.t; hits : int array; table : int array }
+
 let make ~ehc ~sets ~ways =
   friendly_lookups := 0;
   total_lookups := 0;
@@ -39,15 +47,19 @@ let make ~ehc ~sets ~ways =
   let predictor = Policy.State.array st predictor_entries friendly_threshold in
   let rrpv = Policy.State.array st (sets * ways) rrpv_max in
   let last_pc = Policy.State.array st (sets * ways) 0 in
-  (* EHC refinement (Vakil-Ghahani et al. 2018): count hits per resident
-     line, learn a per-PC expected hit count on eviction, and break
-     highest-RRPV victim ties towards the line with the fewest expected
-     remaining hits.  A set duel arbitrates plain vs. refined victim
-     selection; with every tie equal it degenerates to plain Hawkeye. *)
-  let hits = Policy.State.array st (sets * ways) 0 in
-  let ehc_table = Policy.State.array st ehc_entries 0 in
-  let ehc_duel = if ehc then Some (Dueling.make ~sets) else None in
-  Option.iter (fun d -> Policy.State.custom st (fun () -> Dueling.save d)) ehc_duel;
+  let refine =
+    if not ehc then None
+    else begin
+      let duel = Dueling.make ~sets in
+      Policy.State.custom st (fun () -> Dueling.save duel);
+      Some
+        {
+          duel;
+          hits = Policy.State.array st (sets * ways) 0;
+          table = Policy.State.array st ehc_entries 0;
+        }
+    end
+  in
   let ehc_index pc = mix pc land (ehc_entries - 1) in
   let sample_every = 4 in
   (* One sampler per set with [set mod sample_every = 1]. *)
@@ -150,14 +162,20 @@ let make ~ehc ~sets ~ways =
     match sampler_of set with Some s -> optgen_access s acc | None -> ()
   in
   let on_hit ~set ~way acc =
-    let slot = (set * ways) + way in
-    hits.(slot) <- min max_hits (hits.(slot) + 1);
+    (match refine with
+    | Some e ->
+      let slot = (set * ways) + way in
+      e.hits.(slot) <- min max_hits (e.hits.(slot) + 1)
+    | None -> ());
     observe ~set acc;
     place ~set ~way acc
   in
   let on_fill ~set ~way acc =
-    (match ehc_duel with Some d -> Dueling.train_miss d ~set | None -> ());
-    hits.((set * ways) + way) <- 0;
+    (match refine with
+    | Some e ->
+      Dueling.train_miss e.duel ~set;
+      e.hits.((set * ways) + way) <- 0
+    | None -> ());
     observe ~set acc;
     place ~set ~way acc
   in
@@ -175,7 +193,7 @@ let make ~ehc ~sets ~ways =
   (* Among the ways tied at the highest RRPV, pick the fewest expected
      remaining hits (EHC[pc] - hits so far); ties resolve to the lowest
      way, i.e. plain Hawkeye's choice. *)
-  let ehc_victim ~set =
+  let ehc_victim e ~set =
     let best_rrpv = ref (-1) in
     for way = 0 to ways - 1 do
       let r = rrpv.((set * ways) + way) in
@@ -185,7 +203,7 @@ let make ~ehc ~sets ~ways =
     for way = 0 to ways - 1 do
       let slot = (set * ways) + way in
       if rrpv.(slot) = !best_rrpv then begin
-        let remaining = max 0 (ehc_table.(ehc_index last_pc.(slot)) - hits.(slot)) in
+        let remaining = max 0 (e.table.(ehc_index last_pc.(slot)) - e.hits.(slot)) in
         if remaining < !best_remaining then begin
           best := way;
           best_remaining := remaining
@@ -195,17 +213,19 @@ let make ~ehc ~sets ~ways =
     !best
   in
   let victim ~set =
-    match ehc_duel with
-    | Some d when Dueling.selects_b d ~set -> ehc_victim ~set
+    match refine with
+    | Some e when Dueling.selects_b e.duel ~set -> ehc_victim e ~set
     | Some _ | None -> plain_victim ~set
   in
   let on_eviction ~set ~way ~line:_ =
     let slot = (set * ways) + way in
     (* Learn the PC's expected hit count as a rounding running average
        of the counts its lines actually achieved. *)
-    (if ehc then
-       let i = ehc_index last_pc.(slot) in
-       ehc_table.(i) <- (ehc_table.(i) + hits.(slot) + 1) lsr 1);
+    (match refine with
+    | Some e ->
+      let i = ehc_index last_pc.(slot) in
+      e.table.(i) <- (e.table.(i) + e.hits.(slot) + 1) lsr 1
+    | None -> ());
     (* Evicting a still-friendly line means the prediction
        over-committed: detrain its source.  Only sampled sets train, so
        positive (OPTgen) and negative (eviction) evidence stay in
@@ -220,8 +240,8 @@ let make ~ehc ~sets ~ways =
     + (200 * 40) (* sampler entries *)
     + (1024 * 8) (* occupancy vectors *)
     + (sets * ways * 3) (* RRIP counters: 192 B *)
-    + (match ehc_duel with
-      | Some d -> (ehc_entries * 3) + (sets * ways * 3) + Dueling.storage_bits d
+    + (match refine with
+      | Some e -> (ehc_entries * 3) + (sets * ways * 3) + Dueling.storage_bits e.duel
       | None -> 0)
   in
   {
@@ -236,5 +256,5 @@ let make ~ehc ~sets ~ways =
     demote = (fun ~set ~way -> rrpv.((set * ways) + way) <- rrpv_max);
     save = Policy.State.save st;
     storage_bits;
-    duel = ehc_duel;
+    duel = Option.map (fun e -> e.duel) refine;
   }

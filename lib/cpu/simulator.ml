@@ -564,9 +564,9 @@ let oracle ?(config = Config.default) ?(warmup = 0) ?stream ?replay ~mode ~progr
   let fill, result = oracle_charge ~config ~instructions ~count_from in
   match replay with
   | Some (res : Belady.result) ->
-    (* A sharded (or otherwise precomputed) Belady replay: its recorded
-       fill sequence drives the hierarchy as the inline [on_fill] would
-       have, byte-identically. *)
+    (* A precomputed Belady replay: its recorded fill sequence drives
+       the hierarchy as the inline [on_fill] would have,
+       byte-identically. *)
     Array.iter (fun index -> fill ~index (Access_stream.get stream index)) res.Belady.fills;
     result res
   | None ->

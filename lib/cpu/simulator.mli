@@ -175,20 +175,23 @@ val oracle :
     then replays it offline — the standard construction for
     prefetch-aware replacement limit studies.  [stream] supplies a
     pre-recorded indexed stream (as returned by
-    {!record_stream_indexed} for the same config/trace/prefetcher),
-    letting callers that run several oracles over one stream — or memo
-    it across cells — skip the re-recording; recording is
-    deterministic, so the result is identical either way.
+    {!record_stream_indexed} for the same config/trace/prefetcher), so a
+    caller that already holds the stream — or chose its backing — skips
+    the re-recording; recording is deterministic, so the result is
+    identical either way.  The stream is left open.
 
-    [replay] supplies a finished Belady replay (recorded with
-    [~record_fills:true], possibly assembled from per-set shards with
-    {!Belady.merge}); the Belady pass is then skipped and the recorded
-    fill sequence drives the L2/L3 hierarchy instead — byte-identical to
-    the inline pass, since fills are replayed in stream order. *)
+    [replay] supplies a finished Belady replay of that stream, recorded
+    with [~record_fills:true] and [~count_from] from
+    {!stream_count_from}; the Belady pass is then skipped and the
+    recorded fill sequence drives the L2/L3 hierarchy instead —
+    byte-identical to the inline pass, since fills are replayed in
+    stream order.  This lets a caller time the Belady pass apart from
+    the hierarchy replay. *)
 
 val stream_count_from : stream_pos:int array -> warmup:int -> int
 (** First stream index whose recorded trace position is [>= warmup] —
-    the [count_from] boundary shared by {!oracle} and sharded callers. *)
+    the [count_from] boundary {!oracle} measures from, which a
+    [replay] passed to it must have been recorded with. *)
 
 val record_stream :
   ?config:Config.t ->

@@ -50,18 +50,10 @@ let no_gc_stats =
 type memo = {
   workloads : (string, W.Cfg_gen.t) Hashtbl.t;
   traces : (string * int * string, int array) Hashtbl.t;
-  streams :
-    ( string * int * string * string * string * Config.t,
-      Ripple_cache.Access_stream.t * int array )
-    Hashtbl.t;
-      (* Recorded access streams in their compact packed form — one word
-         per access — so memoizing them costs a small fraction of what
-         boxed streams would. *)
 }
 
 let memo_key : memo Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { workloads = Hashtbl.create 8; traces = Hashtbl.create 16; streams = Hashtbl.create 16 })
+  Domain.DLS.new_key (fun () -> { workloads = Hashtbl.create 8; traces = Hashtbl.create 16 })
 
 let workload_of app =
   let memo = Domain.DLS.get memo_key in
@@ -98,42 +90,24 @@ let trace_of app ~n_instrs (input : Spec.input) =
     Hashtbl.add memo.traces key t;
     t
 
-(* The prefetcher-shaped access stream of the eval trace, in packed form.
-   Deterministic in its key (recording replays an LRU reference run), so
-   several oracle cells over the same (app, input, length, prefetcher,
-   config) share one recording. *)
-let stream_of ~config ~backing (spec : Spec.t) ~trace ~program =
-  let memo = Domain.DLS.get memo_key in
-  let input = executor_input spec.Spec.input in
-  let key =
-    ( spec.Spec.app,
-      spec.Spec.n_instrs,
-      input.W.Executor.label,
-      Pipeline.prefetch_name spec.Spec.prefetch,
-      Ripple_util.Int_stream.backing_name backing,
-      config )
+(* The prefetcher-shaped access stream of the eval trace, in packed form,
+   recorded under an LRU reference run.  The position index is consulted
+   only for the warm-up boundary search, so it is materialized; the
+   stream itself — the big half — keeps whatever backing the caller
+   chose, and the caller closes it. *)
+let stream_of ~config ~backing ~trace ~program ~prefetcher =
+  let stream, pos =
+    Simulator.record_stream_indexed_trace ~config ~backing ~program
+      ~trace:(Simulator.Trace.Blocks trace) ~prefetcher ()
   in
-  match Hashtbl.find_opt memo.streams key with
-  | Some s -> s
-  | None ->
-    let stream, pos =
-      Simulator.record_stream_indexed_trace ~config ~backing ~program
-        ~trace:(Simulator.Trace.Blocks trace)
-        ~prefetcher:(Pipeline.prefetcher_of ~config spec.Spec.prefetch)
-        ()
-    in
-    (* The position index is consulted only for the warm-up boundary
-       search, so it is materialized; the stream itself — the big half —
-       keeps whatever backing the caller chose. *)
-    let s = (stream, Ripple_util.Int_stream.to_array pos) in
-    Ripple_util.Int_stream.close pos;
-    Hashtbl.add memo.streams key s;
-    s
+  let s = (stream, Ripple_util.Int_stream.to_array pos) in
+  Ripple_util.Int_stream.close pos;
+  s
 
 (* ----------------------------- one cell ------------------------------ *)
 
 let run_spec ?(config = Config.default) ?(backing = Ripple_cache.Access_stream.Heap)
-    ?sampling ?(shards = 1) (spec : Spec.t) =
+    ?sampling (spec : Spec.t) =
   let workload = workload_of spec.Spec.app in
   let program = workload.W.Cfg_gen.program in
   let eval = trace_of spec.Spec.app ~n_instrs:spec.Spec.n_instrs spec.Spec.input in
@@ -162,15 +136,14 @@ let run_spec ?(config = Config.default) ?(backing = Ripple_cache.Access_stream.H
     Simulator.observe_result obs result;
     { result; evaluation = None; analysis = None; metrics = Obs.Run.snapshot obs }
   | Spec.Oracle ->
-    let stream = stream_of ~config ~backing spec ~trace:eval ~program in
+    let stream = stream_of ~config ~backing ~trace:eval ~program ~prefetcher in
     let result =
-      Obs.Span.with_span (Obs.Run.spans obs) "simulate" (fun () ->
-          if shards > 1 then
-            Shard.oracle ~config ~shards ~backing ~warmup ~stream
-              ~mode:(Pipeline.belady_mode_of prefetch) ~program ~trace:eval ~prefetcher ()
-          else
-            Simulator.oracle ~config ~warmup ~stream ~mode:(Pipeline.belady_mode_of prefetch)
-              ~program ~trace:eval ~prefetcher ())
+      Fun.protect
+        ~finally:(fun () -> Ripple_cache.Access_stream.close (fst stream))
+        (fun () ->
+          Obs.Span.with_span (Obs.Run.spans obs) "simulate" (fun () ->
+              Simulator.oracle ~config ~warmup ~stream ~mode:(Pipeline.belady_mode_of prefetch)
+                ~program ~trace:eval ~prefetcher ()))
     in
     Simulator.observe_result obs result;
     { result; evaluation = None; analysis = None; metrics = Obs.Run.snapshot obs }
@@ -203,7 +176,7 @@ let progress_lock = Mutex.create ()
 
 let breaker_reason = "circuit breaker: failure budget exhausted"
 
-let run ?config ?backing ?sampling ?shards ?jobs ?(quiet = false) ?(retries = 0)
+let run ?config ?backing ?sampling ?jobs ?(quiet = false) ?(retries = 0)
     ?max_failures specs =
   let specs = Array.of_list specs in
   let total = Array.length specs in
@@ -230,7 +203,7 @@ let run ?config ?backing ?sampling ?shards ?jobs ?(quiet = false) ?(retries = 0)
         if k = 0 then spec
         else { spec with Spec.seed = Spec.perturb_seed spec.Spec.seed ~attempt:k }
       in
-      match run_spec ?config ?backing ?sampling ?shards spec_k with
+      match run_spec ?config ?backing ?sampling spec_k with
       | outcome -> (Done outcome, k + 1)
       | exception e ->
         let backtrace = String.trim (Printexc.get_backtrace ()) in

@@ -72,27 +72,26 @@ val run_spec :
   ?config:Config.t ->
   ?backing:Ripple_util.Int_stream.backing ->
   ?sampling:Simulator.Sampling.t ->
-  ?shards:int ->
   Spec.t ->
   outcome
 (** Executes one cell in the calling domain.
 
     [backing] (default [Heap]) places recorded access streams and Belady
-    working tables; [Spill] keeps them in unlinked mmap files, shrinking
-    the heap of oracle and Ripple cells to O(windows).  [sampling]
-    switches policy and Ripple evaluation runs to sampled execution
-    ({!Ripple_cpu.Simulator.Sampling}).  [shards > 1] runs oracle cells'
-    Belady replay sharded by cache set ({!Shard}).  All three knobs are
-    representation/execution choices, not experiment parameters: results
-    are byte-identical across backings and shard counts, and
-    deterministic in the sampling spec.
+    working tables; [Spill] keeps them in mmap spill files, shrinking
+    the heap of oracle and Ripple cells to O(windows).  An oracle cell
+    records its stream, replays it inline and closes it before
+    returning, so no spill file outlives the cell.  [sampling] switches
+    policy and Ripple evaluation runs to sampled execution
+    ({!Ripple_cpu.Simulator.Sampling}).  Both knobs are
+    representation/execution choices, not experiment parameters:
+    results are byte-identical across backings and deterministic in the
+    sampling spec.
     @raise Invalid_argument on an unknown app or policy name. *)
 
 val run :
   ?config:Config.t ->
   ?backing:Ripple_util.Int_stream.backing ->
   ?sampling:Simulator.Sampling.t ->
-  ?shards:int ->
   ?jobs:int ->
   ?quiet:bool ->
   ?retries:int ->

@@ -1,19 +1,3 @@
-(* Network-level chaos: drive a LIVE serve daemon through a seeded
-   fault proxy and assert the crash-only contract end to end.
-
-   Each fault cell forks a real daemon, forks a proxy that mangles the
-   client->server stream with one {!Net_fault} injection, and runs the
-   resumable push through it; the cell passes when the push completes
-   and the daemon's session state is indistinguishable from a run that
-   saw no fault at all (same status report, same profile digest).  The
-   final cell is harsher: it kill -9s the daemon mid-capture and
-   restarts it on the same state directory, asserting the recovered,
-   resumed session is byte-equivalent to an uninterrupted one.
-
-   Exit semantics mirror {!Chaos}: 0 clean, 1 state loss (push done but
-   state diverged), 2 crash (push failed, daemon died badly, or the
-   harness itself broke). *)
-
 module W = Ripple_workloads
 module Pt = Ripple_trace.Pt
 module Pipeline = Ripple_core.Pipeline
@@ -141,7 +125,11 @@ let free_port () =
 (* Sequential TCP relay: each inbound connection is forwarded to the
    daemon, with the FIRST connection's client->server frames run
    through the fault plan (retry connections pass clean — a fault is
-   one event, recovery must finish the job). *)
+   one event, recovery must finish the job).  That stream is split with
+   the daemon's own {!Protocol.Reader} and each frame re-encoded with
+   {!Protocol.write_frame}, which gives back the client's bytes, since
+   the client wrote them with the same encoder; a stream the reader
+   calls corrupt closes the link. *)
 let run_proxy ~server_port ~ready_path ~seed ~fault ~victim () =
   ignore_sigpipe ();
   let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -171,7 +159,7 @@ let run_proxy ~server_port ~ready_path ~seed ~fault ~victim () =
         Unix.close cfd;
         Unix.close sfd
       | () ->
-        let split = Net_fault.Splitter.create () in
+        let reader = Protocol.Reader.create () in
         let alive = ref true in
         (try
            while !alive do
@@ -188,12 +176,18 @@ let run_proxy ~server_port ~ready_path ~seed ~fault ~victim () =
                  | n ->
                    if not mangle then write_all sfd buf 0 n
                    else begin
-                     Net_fault.Splitter.add split buf n;
+                     Protocol.Reader.add reader buf n;
                      let rec drain () =
                        if !alive then
-                         match Net_fault.Splitter.pop split with
-                         | None -> ()
-                         | Some frame ->
+                         match Protocol.Reader.pop_frame reader with
+                         | `Awaiting -> ()
+                         | `Corrupt _ -> alive := false
+                         | `Frame f ->
+                           let frame =
+                             let b = Buffer.create 64 in
+                             Protocol.write_frame b f;
+                             Buffer.to_bytes b
+                           in
                            let index = !frame_index in
                            incr frame_index;
                            (match Net_fault.plan ~seed fault ~victim ~index frame with

@@ -1,23 +1,13 @@
-(* Network-level fault injectors for the serve protocol: seeded,
-   frame-aware manglings of the client->server byte stream.  These are
-   the transport-layer counterpart of {!Fault}'s data faults — instead
-   of corrupting what the capture says, they corrupt how it travels:
-   frames torn across writes, length prefixes destroyed, connections cut
-   mid-frame, frames duplicated or held hostage.  The recovery story
-   they exercise is the v2 push ({!Ripple_serve.Client.push_with_retries}
-   against {!Ripple_serve.Session} sequence dedup): none of them may
-   cost more than time. *)
-
 module Prng = Ripple_util.Prng
 module Json = Ripple_util.Json
 
 type t =
   | Net_clean
-  | Torn_frame  (* deliver the victim frame in two separate writes *)
-  | Corrupt_length  (* blow up the victim frame's length prefix *)
-  | Mid_frame_cut  (* deliver part of the victim frame, then drop the link *)
-  | Duplicate_frame  (* deliver the victim frame twice *)
-  | Stall_frame of { delay : float }  (* hold the victim frame [delay] seconds *)
+  | Torn_frame
+  | Corrupt_length
+  | Mid_frame_cut
+  | Duplicate_frame
+  | Stall_frame of { delay : float }
 
 let name = function
   | Net_clean -> "net-clean"
@@ -35,11 +25,10 @@ let to_json t =
   let param = match t with Stall_frame { delay } -> [ ("delay", Json.Float delay) ] | _ -> [] in
   Json.Obj (("class", Json.String (name t)) :: param)
 
-(* What happens to one complete frame on the wire. *)
 type action =
-  | Deliver of bytes list  (* forward these runs, each as its own write *)
-  | Deliver_then_cut of bytes list  (* forward, then drop the connection *)
-  | Delay of float * bytes  (* hold the frame, then forward it *)
+  | Deliver of bytes list
+  | Deliver_then_cut of bytes list
+  | Delay of float * bytes
 
 (* Deterministic per-(seed, index) choice of where to cut/tear: the same
    seed replays the same mangling, which is what lets a chaos report be
@@ -71,43 +60,3 @@ let plan ~seed t ~victim ~index frame =
       Deliver_then_cut [ Bytes.sub frame 0 keep ]
     | Duplicate_frame -> Deliver [ frame; frame ]
     | Stall_frame { delay } -> Delay (delay, frame)
-
-(* Split a well-formed frame stream back into frames (tag + u32 BE
-   length + payload).  Like {!Fault.packets}, this only ever sees
-   streams a {!Ripple_serve.Protocol.write_frame} just produced, so
-   strict parsing is fine; garbage would only follow a mangling we
-   introduced ourselves, downstream of the splitter. *)
-module Splitter = struct
-  type s = { mutable buf : bytes; mutable len : int }
-
-  let create () = { buf = Bytes.create 4096; len = 0 }
-
-  let add s data n =
-    let need = s.len + n in
-    if need > Bytes.length s.buf then begin
-      let bigger = Bytes.create (max need (2 * Bytes.length s.buf)) in
-      Bytes.blit s.buf 0 bigger 0 s.len;
-      s.buf <- bigger
-    end;
-    Bytes.blit data 0 s.buf s.len n;
-    s.len <- s.len + n
-
-  let pop s =
-    if s.len < 5 then None
-    else begin
-      let payload =
-        (Char.code (Bytes.get s.buf 1) lsl 24)
-        lor (Char.code (Bytes.get s.buf 2) lsl 16)
-        lor (Char.code (Bytes.get s.buf 3) lsl 8)
-        lor Char.code (Bytes.get s.buf 4)
-      in
-      let total = 5 + payload in
-      if s.len < total then None
-      else begin
-        let frame = Bytes.sub s.buf 0 total in
-        Bytes.blit s.buf total s.buf 0 (s.len - total);
-        s.len <- s.len - total;
-        Some frame
-      end
-    end
-end

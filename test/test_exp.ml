@@ -35,11 +35,11 @@ let test_parallel_determinism () =
       Alcotest.(check bool) "cell ok" true (Result.is_ok (Exp.Runner.result c)))
     serial
 
-(* Same property through the packed-stream memo: Oracle cells share a
-   per-domain recorded stream, so a sweep that mixes Oracle specs (which
-   hit and miss the memo in a scheduling-dependent order) must still
-   render byte-identically across job counts. *)
-let test_parallel_determinism_with_memoized_streams () =
+(* Same property over repeated Oracle specs: each oracle cell records,
+   replays and closes its own access stream, so a sweep that repeats an
+   Oracle spec (and mixes prefetchers) must render byte-identically
+   across job counts, whichever domain runs which copy. *)
+let test_parallel_determinism_repeated_oracles () =
   let open Exp.Spec in
   let specs =
     List.concat_map
@@ -223,26 +223,10 @@ let test_prng_seed_distinct () =
     (Exp.Spec.prng_seed s1 <> Exp.Spec.prng_seed s3);
   Alcotest.(check int) "prng_seed stable" (Exp.Spec.prng_seed s1) (Exp.Spec.prng_seed s1)
 
-(* Shard ranges tile [0, sets) exactly: contiguous, disjoint, in order,
-   clamped when there are more shards than sets. *)
-let test_shard_ranges () =
-  List.iter
-    (fun (sets, shards) ->
-      let rs = Exp.Shard.ranges ~sets ~shards in
-      Alcotest.(check bool) "non-empty" true (Array.length rs > 0);
-      Alcotest.(check int) "starts at 0" 0 (fst rs.(0));
-      Alcotest.(check int) "ends at sets" sets (snd rs.(Array.length rs - 1));
-      Array.iteri
-        (fun i (lo, hi) ->
-          Alcotest.(check bool) "non-empty range" true (lo < hi);
-          if i > 0 then Alcotest.(check int) "contiguous" lo (snd rs.(i - 1)))
-        rs)
-    [ (64, 1); (64, 4); (64, 7); (3, 8); (1, 5) ]
-
-(* Set-sharded ideal replacement is an execution strategy, not a model
-   change: the merged result equals the unsharded oracle exactly, at
-   any shard count. *)
-let test_sharded_oracle_identity () =
+(* A recorded Belady replay is an execution strategy, not a model
+   change: fed to [Simulator.oracle ~replay], its fill sequence drives
+   the hierarchy exactly as the inline pass does. *)
+let test_replay_oracle_identity () =
   let module W = Ripple_workloads in
   let module Simulator = Cpu.Simulator in
   let w = W.Cfg_gen.generate W.Apps.kafka in
@@ -250,27 +234,25 @@ let test_sharded_oracle_identity () =
   let program = w.W.Cfg_gen.program in
   let warmup = Array.length trace / 2 in
   let prefetcher = Simulator.prefetcher_fdip in
-  let stream = Simulator.record_stream_indexed ~program ~trace ~prefetcher () in
-  let unsharded =
-    Simulator.oracle ~warmup ~stream ~mode:Cache.Belady.Demand_min ~program ~trace
-      ~prefetcher ()
+  let mode = Cache.Belady.Demand_min in
+  let ((s, stream_pos) as stream) =
+    Simulator.record_stream_indexed ~program ~trace ~prefetcher ()
   in
-  List.iter
-    (fun shards ->
-      let sharded =
-        Exp.Shard.oracle ~shards ~warmup ~stream ~mode:Cache.Belady.Demand_min ~program
-          ~trace ~prefetcher ()
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "shards=%d equals unsharded" shards)
-        true (sharded = unsharded))
-    [ 2; 5 ]
+  let inline = Simulator.oracle ~warmup ~stream ~mode ~program ~trace ~prefetcher () in
+  let replay =
+    Cache.Belady.simulate ~record_fills:true ~record_evictions:false
+      ~count_from:(Simulator.stream_count_from ~stream_pos ~warmup)
+      Cache.Geometry.l1i ~mode s
+  in
+  let replayed = Simulator.oracle ~warmup ~stream ~replay ~mode ~program ~trace ~prefetcher () in
+  Alcotest.(check bool) "replayed oracle equals inline" true (replayed = inline)
 
-(* Backing, sampling and sharding are representation/execution choices:
-   the sweep JSONL must not change when any of them does (sampling only
-   for cells it does not apply to — here Oracle/Ideal cells — while
-   Policy/Ripple cells record their sampled rows deterministically). *)
-let test_backing_shard_jsonl_identity () =
+(* Backing and sampling are representation/execution choices: the sweep
+   JSONL must not change when either does (sampling only for cells it
+   does not apply to — here Oracle/Ideal cells — while Policy/Ripple
+   cells record their sampled rows deterministically).  A spill-backed
+   run also leaves no spill file linked, at any pool size. *)
+let test_backing_jsonl_identity () =
   let open Exp.Spec in
   let specs =
     [
@@ -280,16 +262,20 @@ let test_backing_shard_jsonl_identity () =
     ]
   in
   let baseline = Exp.Report.to_jsonl (Exp.Runner.run ~jobs:2 ~quiet:true specs) in
-  let spill =
-    Exp.Report.to_jsonl
-      (Exp.Runner.run ~backing:Ripple_util.Int_stream.Spill ~jobs:2 ~quiet:true specs)
-  in
-  Alcotest.(check string) "mmap backing JSONL byte-identical" baseline spill;
-  let sharded = Exp.Report.to_jsonl (Exp.Runner.run ~shards:3 ~jobs:1 ~quiet:true specs) in
-  Alcotest.(check string) "sharded oracle JSONL byte-identical" baseline sharded;
-  Alcotest.(check int)
-    "no spill files leaked" 0
-    (List.length (Ripple_util.Int_stream.Spill.live ()))
+  List.iter
+    (fun jobs ->
+      let spill =
+        Exp.Report.to_jsonl
+          (Exp.Runner.run ~backing:Ripple_util.Int_stream.Spill ~jobs ~quiet:true specs)
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "no spill files leaked (jobs=%d)" jobs)
+        []
+        (Ripple_util.Int_stream.Spill.live ());
+      Alcotest.(check string)
+        (Printf.sprintf "mmap backing JSONL byte-identical (jobs=%d)" jobs)
+        baseline spill)
+    [ 1; 2 ]
 
 (* A sampled sweep is deterministic in the sampling spec — identical
    across reruns and job counts — and its rows carry the sample report. *)
@@ -381,7 +367,7 @@ let suites =
       [
         Alcotest.test_case "parallel determinism" `Slow test_parallel_determinism;
         Alcotest.test_case "parallel determinism (memoized oracle streams)" `Slow
-          test_parallel_determinism_with_memoized_streams;
+          test_parallel_determinism_repeated_oracles;
         Alcotest.test_case "write_jsonl creates parent dirs" `Slow
           test_write_jsonl_creates_parents;
         Alcotest.test_case "write_jsonl removes temp on failed rename" `Quick
@@ -393,10 +379,9 @@ let suites =
         Alcotest.test_case "circuit breaker skips remainder" `Slow test_circuit_breaker;
         Alcotest.test_case "parity with failed/retried cells" `Slow test_parity_with_failures;
         Alcotest.test_case "prng seeds distinct" `Quick test_prng_seed_distinct;
-        Alcotest.test_case "shard ranges tile the sets" `Quick test_shard_ranges;
-        Alcotest.test_case "sharded oracle = unsharded" `Slow test_sharded_oracle_identity;
-        Alcotest.test_case "backing/shards leave JSONL unchanged" `Slow
-          test_backing_shard_jsonl_identity;
+        Alcotest.test_case "oracle from a recorded replay = inline oracle" `Slow
+          test_replay_oracle_identity;
+        Alcotest.test_case "backing leaves JSONL unchanged" `Slow test_backing_jsonl_identity;
         Alcotest.test_case "sampled sweep deterministic" `Slow test_sampled_sweep_deterministic;
         Alcotest.test_case "registry complete at Table II geometry" `Quick
           test_registry_complete;
