@@ -5,7 +5,7 @@
    Measures, for one (application, prefetcher) configuration at the
    given trace length: words allocated, top-heap words and the process
    peak RSS (VmHWM) reached by (1) generating the block trace,
-   (2) recording the LRU reference access stream, (3) the Belady
+   (2) recording the front end's access stream, (3) the Belady
    Demand-MIN replay over it, and (4) a full Simulator run — the four
    hot paths of the pipeline — under either stream backing.  With
    [sample_windows > 0] the simulator pass also runs sampled from a
@@ -79,12 +79,11 @@ let () =
   let warmup = n / 2 in
   Printf.printf "trace blocks: %d (spill: %b)\n%!" n (Int_stream.is_spill blocks);
   let trace = Cpu.Simulator.Trace.of_stream blocks in
-  let stream, pos =
+  let recording =
     measure "record_stream" (fun () ->
-        Cpu.Simulator.record_stream_indexed_trace ~backing ~program ~trace
-          ~prefetcher:Cpu.Simulator.prefetcher_fdip ())
+        Cpu.Simulator.record ~backing ~program ~trace ~prefetcher:Cpu.Simulator.prefetcher_fdip ())
   in
-  Int_stream.close pos;
+  let stream = Cpu.Simulator.Recording.stream recording in
   Printf.printf "stream accesses: %d\n%!" (Cache.Access_stream.length stream);
   ignore
     (measure "belady demand-min" (fun () ->
@@ -96,7 +95,7 @@ let () =
                 boxed eviction records, so neither does the probe. *)
              Cache.Belady.simulate ~tables ~record_evictions:false Cache.Geometry.l1i
                ~mode:Cache.Belady.Demand_min stream)));
-  Cache.Access_stream.close stream;
+  Cpu.Simulator.Recording.close recording;
   let full =
     measure "simulator lru+fdip" (fun () ->
         fst

@@ -24,7 +24,6 @@ module Invalidation_check = Ripple_analysis.Invalidation_check
 module Abs_cache = Ripple_analysis.Abs_cache
 module Json = Ripple_util.Json
 module Access_stream = Ripple_cache.Access_stream
-module Int_stream = Ripple_util.Int_stream
 
 module Degrade = struct
   type level = Full | Safe_only | Hints_off
@@ -69,9 +68,11 @@ module Eval = struct
     trace : Simulator.Trace.t;
     policy : Ripple_cache.Policy.factory;
     warmup : int;
+    recording : Simulator.Recording.t option;
   }
 
-  let v ?(warmup = 0) ~trace ~policy () = { trace = Simulator.Trace.Blocks trace; policy; warmup }
+  let v ?(warmup = 0) ?recording ~trace ~policy () =
+    { trace = Simulator.Trace.Blocks trace; policy; warmup; recording }
 end
 
 module Options = struct
@@ -365,21 +366,17 @@ let evaluation_to_json (ev : evaluation) =
 let overhead ~extra ~base = if base = 0 then 0.0 else Float.of_int extra /. Float.of_int base
 
 (* Instrumented-run evaluation (the paper's metrics): [run]'s simulate
-   stage.  The timing simulation's counters go to [obs] and the Ripple
-   accuracy/coverage gauges to the run's cells [m]. *)
+   stage, over one recording of the evaluation trace.  The timing
+   simulation's counters go to [obs] and the Ripple accuracy/coverage
+   gauges to the run's cells [m]. *)
 let eval_core ~obs ~(m : Metrics.t) ~backing ?sampling ~(config : Config.t) ~warmup ~original
-    ~instrumented ~(trace : Simulator.Trace.t) ~policy ~prefetch () =
-  (* Ideal eviction windows on the evaluation stream of the instrumented
-     binary, in trace coordinates: the accuracy yardstick.  With a spill
-     backing, the stream, its position index and the Belady working
-     tables all live in mmap files — the heap cost of this stage stays
-     O(windows), not O(trace). *)
-  let stream, stream_pos =
-    Simulator.record_stream_indexed_trace ~config ~backing ~program:instrumented ~trace
-      ~prefetcher:(prefetcher_of ~config prefetch)
-      ()
-  in
+    ~instrumented ~(trace : Simulator.Trace.t) ~recording ~policy ~prefetch () =
+  (* Ideal eviction windows on the evaluation stream, in trace
+     coordinates: the accuracy yardstick.  With a spill backing, the
+     Belady working tables live in mmap files — the heap cost of this
+     stage stays O(windows), not O(trace). *)
   let windows =
+    let stream = Simulator.Recording.stream recording in
     let tables = Belady.prepare ~backing stream in
     let replay =
       Fun.protect
@@ -388,10 +385,8 @@ let eval_core ~obs ~(m : Metrics.t) ~backing ?sampling ~(config : Config.t) ~war
     in
     Eviction_window.to_trace_coords_with
       (Eviction_window.of_evictions replay.Belady.evictions)
-      ~pos:(Int_stream.get stream_pos)
+      ~pos:(Simulator.Recording.position recording)
   in
-  Access_stream.close stream;
-  Int_stream.close stream_pos;
   let index = Eviction_window.Index.create windows in
   let hint_execs = ref 0 in
   let accurate = ref 0 in
@@ -405,11 +400,19 @@ let eval_core ~obs ~(m : Metrics.t) ~backing ?sampling ~(config : Config.t) ~war
       if (not resident) || Eviction_window.Index.mem index ~line ~at then incr accurate
     end
   in
+  (* A sampled run restores the front end's state before each window,
+     which a recording cannot, so it runs the front end itself. *)
   let result, sample =
-    Simulator.run_trace ~config ~warmup ~obs ~on_hint ?sampling ~program:instrumented ~trace
-      ~policy
-      ~prefetcher:(prefetcher_of ~config prefetch)
-      ()
+    match sampling with
+    | None ->
+      ( Simulator.replay ~config ~warmup ~obs ~on_hint ~program:instrumented ~trace ~policy
+          recording,
+        None )
+    | Some _ ->
+      Simulator.run_trace ~config ~warmup ~obs ~on_hint ?sampling ~program:instrumented ~trace
+        ~policy
+        ~prefetcher:(prefetcher_of ~config prefetch)
+        ()
   in
   let accuracy =
     if !hint_execs = 0 then 1.0 else Float.of_int !accurate /. Float.of_int !hint_execs
@@ -510,18 +513,14 @@ let run ?obs (o : Options.t) ~source input =
       (* Step 2 (Fig. 4): ideal-policy replay over the stream the
          prefetcher produces on the profiled layout, yielding eviction
          windows. *)
-      let stream =
+      let profiled =
         stage obs "profile" (fun () ->
-            let stream, pos =
-              Simulator.record_stream_indexed_trace ~config ~backing:o.Options.backing
-                ~program:profile.source
-                ~trace:(Simulator.Trace.Blocks profile.trace)
-                ~prefetcher:(prefetcher_of ~config prefetch)
-                ()
-            in
-            Int_stream.close pos;
-            stream)
+            Simulator.record ~config ~backing:o.Options.backing ~program:profile.source
+              ~trace:(Simulator.Trace.Blocks profile.trace)
+              ~prefetcher:(prefetcher_of ~config prefetch)
+              ())
       in
+      let stream = Simulator.Recording.stream profiled in
       Obs.Metric.add m.Metrics.profile_accesses (Access_stream.length stream);
       let windows =
         stage obs "belady" (fun () ->
@@ -563,7 +562,7 @@ let run ?obs (o : Options.t) ~source input =
       in
       (* The profile stream (possibly spill-backed) is not needed past
          cue selection: release it — and unlink its spill file — now. *)
-      Access_stream.close stream;
+      Simulator.Recording.close profiled;
       Obs.Metric.add m.Metrics.cue_no_candidate drops.Cue_block.no_candidate;
       Obs.Metric.add m.Metrics.cue_below_support drops.Cue_block.below_support;
       Obs.Metric.add m.Metrics.cue_below_threshold drops.Cue_block.below_threshold;
@@ -640,8 +639,24 @@ let run ?obs (o : Options.t) ~source input =
     | Some (e : Eval.t) ->
       Some
         (stage obs "simulate" (fun () ->
-             eval_core ~obs ~m ~backing:o.Options.backing ?sampling:o.Options.sampling ~config
-               ~warmup:e.Eval.warmup ~original:source ~instrumented ~trace:e.Eval.trace
-               ~policy:e.Eval.policy ~prefetch ()))
+             let eval recording =
+               eval_core ~obs ~m ~backing:o.Options.backing ?sampling:o.Options.sampling
+                 ~config ~warmup:e.Eval.warmup ~original:source ~instrumented
+                 ~trace:e.Eval.trace ~recording ~policy:e.Eval.policy ~prefetch ()
+             in
+             match e.Eval.recording with
+             | Some recording -> eval recording
+             | None ->
+               (* Hints leave the front end alone, so the instrumented
+                  binary's recording is the original's. *)
+               let recording =
+                 Simulator.record ~config ~backing:o.Options.backing ~program:instrumented
+                   ~trace:e.Eval.trace
+                   ~prefetcher:(prefetcher_of ~config prefetch)
+                   ()
+               in
+               Fun.protect
+                 ~finally:(fun () -> Simulator.Recording.close recording)
+                 (fun () -> eval recording)))
   in
   { program = instrumented; analysis; evaluation; obs; metrics = Obs.Run.snapshot obs }

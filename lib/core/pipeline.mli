@@ -80,11 +80,26 @@ type analysis = {
     Attached to {!Options.t.eval} to make {!run} produce an
     {!outcome.evaluation}. *)
 module Eval : sig
-  type t = { trace : Simulator.Trace.t; policy : Policy.factory; warmup : int }
+  type t = {
+    trace : Simulator.Trace.t;
+    policy : Policy.factory;
+    warmup : int;
+    recording : Simulator.Recording.t option;
+        (** the front end's recording of [trace] (same config and
+            prefetcher), borrowed: the evaluation replays it and leaves
+            it open.  [None] records one for this run and closes it. *)
+  }
 
-  val v : ?warmup:int -> trace:int array -> policy:Policy.factory -> unit -> t
-  (** [warmup] defaults to 0.  Build the record directly to evaluate a
-      spill-backed ({!Ripple_util.Int_stream}) trace. *)
+  val v :
+    ?warmup:int ->
+    ?recording:Simulator.Recording.t ->
+    trace:int array ->
+    policy:Policy.factory ->
+    unit ->
+    t
+  (** [warmup] defaults to 0, [recording] to [None].  Build the record
+      directly to evaluate a spill-backed ({!Ripple_util.Int_stream})
+      trace. *)
 end
 
 (** Instrumentation knobs, gathered into one plain record.  Build a

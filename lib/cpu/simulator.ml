@@ -206,6 +206,7 @@ let observe_duel obs l1 =
       (Obs.Registry.gauge reg "ripple_duel_psel")
       (Float.of_int (Ripple_cache.Dueling.psel d))
 
+
 let prefetcher_none _program = Prefetcher.none
 
 let prefetcher_nlp ?(config = Config.default) _program =
@@ -213,12 +214,6 @@ let prefetcher_nlp ?(config = Config.default) _program =
 
 let prefetcher_fdip ?(config = Config.default) program =
   Fdip.create ~ftq_depth:config.Config.ftq_depth ~program ()
-
-(* Precomputed per-block expansion so the hot loop allocates nothing. *)
-let block_lines program =
-  Array.map
-    (fun b -> Array.of_list (Basic_block.lines b))
-    (Program.blocks program)
 
 let finish ~(config : Config.t) ~instructions ~hint_instructions ~miss_cycles ~l1i ~l2_served
     ~l3_served ~mem_served =
@@ -242,26 +237,29 @@ let finish ~(config : Config.t) ~instructions ~hint_instructions ~miss_cycles ~l
     served_memory = mem_served;
   }
 
-let run_trace ?(config = Config.default) ?(warmup = 0) ?obs
-    ?(on_hint = fun ~at:_ _ ~resident:_ -> ()) ?sampling ~program ~(trace : Trace.t) ~policy
-    ~prefetcher () =
-  let n = Trace.length trace in
-  let l1 = Cache.create ~geometry:config.Config.l1i ~policy () in
-  let hierarchy = Hierarchy.create config in
-  let pf = prefetcher program in
-  let lines = block_lines program in
+(* ----------------------------- front end ----------------------------- *)
+
+(* Trace -> prefetcher -> the L1I access sequence.  Per block, [fetch]
+   completes the prefetches due, shows the block to the prefetcher and
+   issues the block's demand fetches, handing each L1I access to [emit]
+   in order.  Nothing here reads the L1I the policy manages, so the
+   sequence is a function of the trace, the program and the prefetcher
+   alone: every replacement policy sees the same one.  A miss-trained
+   prefetcher (RDIP) learns from an LRU reference L1I kept here. *)
+type front = { fetch : int -> int -> unit; save : unit -> unit -> unit }
+
+let front_end ~(config : Config.t) ~program ~prefetcher ~(emit : Access.packed -> unit) =
+  let pf : Prefetcher.t = prefetcher program in
+  let lines = Program.line_table program in
   let blocks = Program.blocks program in
-  let instructions = ref 0 in
-  let hint_instructions = ref 0 in
-  (* Penalties are integers; accumulating in an int avoids a boxed-float
-     store per miss and converts once at the end.  (Bit-identical to
-     float accumulation: every partial sum is far below 2^53.) *)
-  let miss_cycles = ref 0 in
-  let l2_served = ref 0 and l3_served = ref 0 and mem_served = ref 0 in
-  let complete_prefetch (acc : Access.packed) =
-    match Cache.access_packed l1 acc with
-    | Cache.Hit -> ()
-    | Cache.Miss -> ignore (Hierarchy.fetch hierarchy (Access.packed_line acc))
+  let reference =
+    match pf.Prefetcher.on_miss with
+    | None -> None
+    | Some on_miss -> Some (Cache.create ~geometry:config.Config.l1i ~policy:Lru.make (), on_miss)
+  in
+  let complete (acc : Access.packed) =
+    emit acc;
+    match reference with Some (l1, _) -> ignore (Cache.access_packed l1 acc) | None -> ()
   in
   (* Issued accesses arrive consed (newest first); completing them in
      issue order without the [List.rev] copy means recursing to the tail
@@ -271,7 +269,7 @@ let run_trace ?(config = Config.default) ?(warmup = 0) ?obs
     | [] -> ()
     | acc :: rest ->
       complete_all rest;
-      complete_prefetch acc
+      complete acc
   in
   (* Prefetches land [prefetch_latency_blocks] blocks after issue (the
      L2 round trip); slot [at mod slots] holds what completes as block
@@ -279,11 +277,6 @@ let run_trace ?(config = Config.default) ?(warmup = 0) ?obs
   let delay = max 0 config.Config.prefetch_latency_blocks in
   let slots = delay + 1 in
   let in_flight = Array.make slots [] in
-  let flush_due ~at =
-    let slot = at mod slots in
-    complete_all in_flight.(slot);
-    in_flight.(slot) <- []
-  in
   let rec issue_all ~at = function
     | [] -> ()
     | (acc : Access.packed) :: rest ->
@@ -292,148 +285,265 @@ let run_trace ?(config = Config.default) ?(warmup = 0) ?obs
       issue_all ~at rest
   in
   let demand ~block line =
-    match Cache.access_packed l1 (Access.pack_demand ~line ~block) with
-    | Cache.Hit -> false
-    | Cache.Miss ->
-      let served = Hierarchy.fetch hierarchy line in
-      (match served with
-      | Hierarchy.L2 -> incr l2_served
-      | Hierarchy.L3 -> incr l3_served
-      | Hierarchy.Memory -> incr mem_served);
-      miss_cycles := !miss_cycles + Hierarchy.penalty config served;
-      true
+    let acc = Access.pack_demand ~line ~block in
+    emit acc;
+    match reference with
+    | Some (l1, on_miss) -> if Cache.access_packed l1 acc = Cache.Miss then on_miss line
+    | None -> ()
   in
-  let reset_counters () =
-    Stats.reset (Cache.stats l1);
-    miss_cycles := 0;
-    instructions := 0;
-    hint_instructions := 0;
-    l2_served := 0;
-    l3_served := 0;
-    mem_served := 0
-  in
-  let step at =
-    let id = Trace.get trace at in
-    let b = blocks.(id) in
-    flush_due ~at;
-    issue_all ~at (pf.Prefetcher.on_block b);
+  let fetch at id =
+    let slot = at mod slots in
+    complete_all in_flight.(slot);
+    in_flight.(slot) <- [];
+    issue_all ~at (pf.Prefetcher.on_block blocks.(id));
     let bl = lines.(id) in
     for i = 0 to Array.length bl - 1 do
-      let missed = demand ~block:id bl.(i) in
-      issue_all ~at (pf.Prefetcher.on_demand ~line:bl.(i) ~missed)
-    done;
-    let hints = b.Basic_block.hints in
-    for i = 0 to Array.length hints - 1 do
-      let hint = hints.(i) in
-      let line = Basic_block.hint_line hint in
-      on_hint ~at hint ~resident:(Cache.contains l1 line);
-      (match hint with
-      | Basic_block.Invalidate line -> Cache.invalidate l1 line
-      | Basic_block.Demote line -> Cache.demote l1 line);
-      incr hint_instructions
-    done;
-    instructions := !instructions + Basic_block.total_instrs b
+      demand ~block:id bl.(i);
+      issue_all ~at (pf.Prefetcher.on_demand ~line:bl.(i))
+    done
   in
+  let save () =
+    let restore_pf = pf.Prefetcher.save () in
+    let in_flight' = Array.copy in_flight in
+    let restore_reference =
+      match reference with Some (l1, _) -> Cache.save l1 | None -> fun () -> ()
+    in
+    fun () ->
+      restore_pf ();
+      Array.blit in_flight' 0 in_flight 0 slots;
+      restore_reference ()
+  in
+  { fetch; save }
+
+(* ----------------------------- back end ------------------------------ *)
+
+(* The L1I under the policy and the L2/L3 hierarchy behind it, charging
+   each access of the sequence; [retire] runs a block's hints after its
+   last access and counts its instructions.  Penalties are integers;
+   accumulating them in an int converts once at the end (bit-identical
+   to float accumulation: every partial sum is far below 2^53). *)
+type back = {
+  config : Config.t;
+  l1 : Cache.t;
+  hierarchy : Hierarchy.t;
+  blocks : Basic_block.t array;
+  on_hint : at:int -> Basic_block.hint -> resident:bool -> unit;
+  mutable instructions : int;
+  mutable hint_instructions : int;
+  mutable miss_cycles : int;
+  mutable l2_served : int;
+  mutable l3_served : int;
+  mutable mem_served : int;
+}
+
+let back_end ~(config : Config.t) ~program ~policy ~on_hint =
+  {
+    config;
+    l1 = Cache.create ~geometry:config.Config.l1i ~policy ();
+    hierarchy = Hierarchy.create config;
+    blocks = Program.blocks program;
+    on_hint;
+    instructions = 0;
+    hint_instructions = 0;
+    miss_cycles = 0;
+    l2_served = 0;
+    l3_served = 0;
+    mem_served = 0;
+  }
+
+let access b (acc : Access.packed) =
+  match Cache.access_packed b.l1 acc with
+  | Cache.Hit -> ()
+  | Cache.Miss ->
+    let served = Hierarchy.fetch b.hierarchy (Access.packed_line acc) in
+    if Access.packed_is_demand acc then begin
+      (match served with
+      | Hierarchy.L2 -> b.l2_served <- b.l2_served + 1
+      | Hierarchy.L3 -> b.l3_served <- b.l3_served + 1
+      | Hierarchy.Memory -> b.mem_served <- b.mem_served + 1);
+      b.miss_cycles <- b.miss_cycles + Hierarchy.penalty b.config served
+    end
+
+let retire b ~at id =
+  let blk = b.blocks.(id) in
+  let hints = blk.Basic_block.hints in
+  for i = 0 to Array.length hints - 1 do
+    let hint = hints.(i) in
+    b.on_hint ~at hint ~resident:(Cache.contains b.l1 (Basic_block.hint_line hint));
+    (match hint with
+    | Basic_block.Invalidate line -> Cache.invalidate b.l1 line
+    | Basic_block.Demote line -> Cache.demote b.l1 line);
+    b.hint_instructions <- b.hint_instructions + 1
+  done;
+  b.instructions <- b.instructions + Basic_block.total_instrs blk
+
+let reset b =
+  Stats.reset (Cache.stats b.l1);
+  b.miss_cycles <- 0;
+  b.instructions <- 0;
+  b.hint_instructions <- 0;
+  b.l2_served <- 0;
+  b.l3_served <- 0;
+  b.mem_served <- 0
+
+let result_of b =
+  finish ~config:b.config ~instructions:b.instructions ~hint_instructions:b.hint_instructions
+    ~miss_cycles:(Float.of_int b.miss_cycles) ~l1i:(Cache.stats b.l1) ~l2_served:b.l2_served
+    ~l3_served:b.l3_served ~mem_served:b.mem_served
+
+let observe obs b result =
+  match obs with
+  | Some o ->
+    observe_result o result;
+    observe_duel o b.l1
+  | None -> ()
+
+(* Periodic IPC/MPKI samples in *virtual* time (the trace index), so the
+   series is a pure function of the run — identical at any pool size.
+   At most ~16 samples per run. *)
+let sampler ~obs ~n b =
+  match obs with
+  | None -> fun _ -> ()
+  | Some obs ->
+    let reg = Obs.Run.registry obs in
+    register_obs reg;
+    let ipc_series = Obs.Registry.series reg "ripple_sim_ipc" in
+    let mpki_series = Obs.Registry.series reg "ripple_sim_mpki" in
+    let every = max 1 (n / 16) in
+    fun at ->
+      if (at + 1) mod every = 0 && b.instructions > b.hint_instructions then begin
+        let r = result_of b in
+        Obs.Metric.sample ipc_series ~at r.ipc;
+        Obs.Metric.sample mpki_series ~at r.mpki
+      end
+
+(* Trace positions [first, stop): [accesses at id] feeds block [at]'s
+   L1I accesses to the back end, then its hints retire.  Steady state:
+   the caches and predictors warm up, and the counters zero at the
+   warm-up boundary. *)
+let drive b ~(trace : Trace.t) ~first ~stop ~warmup ~sample accesses =
+  for at = first to stop - 1 do
+    if at = warmup && warmup > 0 then reset b;
+    let id = Trace.get trace at in
+    accesses at id;
+    retire b ~at id;
+    sample at
+  done
+
+(* ---------------------------- recordings ----------------------------- *)
+
+module Recording = struct
+  type t = { stream : Access_stream.t; offsets : Int_stream.t }
+
+  let stream t = t.stream
+  let blocks t = Int_stream.length t.offsets - 1
+
+  let count_from t ~warmup =
+    if warmup <= 0 then 0 else Int_stream.get t.offsets (min warmup (blocks t))
+
+  (* The block whose accesses hold entry [i]: the last position whose
+     offset is [<= i] (blocks without accesses share their successor's
+     offset). *)
+  let position t i =
+    if i < 0 || i >= Access_stream.length t.stream then
+      invalid_arg "Simulator.Recording.position: index out of bounds";
+    let rec search lo hi =
+      if hi - lo <= 1 then lo
+      else begin
+        let mid = (lo + hi) / 2 in
+        if Int_stream.unsafe_get t.offsets mid <= i then search mid hi else search lo mid
+      end
+    in
+    search 0 (blocks t)
+
+  let close t =
+    Access_stream.close t.stream;
+    Int_stream.close t.offsets
+end
+
+let record ?(config = Config.default) ?backing ~program ~(trace : Trace.t) ~prefetcher () =
+  let builder = Access_stream.Builder.create ?backing () in
+  let offsets = Int_stream.Builder.create ?backing () in
+  let fe = front_end ~config ~program ~prefetcher ~emit:(Access_stream.Builder.add builder) in
+  match
+    for at = 0 to Trace.length trace - 1 do
+      Int_stream.Builder.add offsets (Access_stream.Builder.length builder);
+      fe.fetch at (Trace.get trace at)
+    done;
+    Int_stream.Builder.add offsets (Access_stream.Builder.length builder)
+  with
+  | () ->
+    let stream = Access_stream.Builder.finish builder in
+    { Recording.stream; offsets = Int_stream.Builder.finish offsets }
+  | exception e ->
+    Access_stream.Builder.abort builder;
+    Int_stream.Builder.abort offsets;
+    raise e
+
+(* ------------------------------- runs -------------------------------- *)
+
+let no_hint ~at:_ _ ~resident:_ = ()
+
+let replay ?(config = Config.default) ?(warmup = 0) ?obs ?(on_hint = no_hint) ~program
+    ~(trace : Trace.t) ~policy (recording : Recording.t) =
+  let n = Trace.length trace in
+  if Recording.blocks recording <> n then
+    invalid_arg "Simulator.replay: the recording is of a different trace length";
+  let b = back_end ~config ~program ~policy ~on_hint in
+  let stream = Access_stream.raw recording.Recording.stream in
+  let offsets = recording.Recording.offsets in
+  drive b ~trace ~first:0 ~stop:n ~warmup ~sample:(sampler ~obs ~n b) (fun at _ ->
+      for i = Int_stream.unsafe_get offsets at to Int_stream.unsafe_get offsets (at + 1) - 1 do
+        access b (Int_stream.unsafe_get stream i)
+      done);
+  let result = result_of b in
+  observe obs b result;
+  result
+
+let run_trace ?(config = Config.default) ?(warmup = 0) ?obs ?(on_hint = no_hint) ?sampling
+    ~program ~(trace : Trace.t) ~policy ~prefetcher () =
+  let n = Trace.length trace in
+  let b = back_end ~config ~program ~policy ~on_hint in
+  let fe = front_end ~config ~program ~prefetcher ~emit:(access b) in
   match sampling with
   | None ->
-    (* Periodic IPC/MPKI samples in *virtual* time (the trace index), so
-       the series is a pure function of the run — identical at any pool
-       size.  At most ~16 samples per run; the per-block cost without a
-       sampler is one match. *)
-    let sampler =
-      match obs with
-      | None -> None
-      | Some obs ->
-        let reg = Obs.Run.registry obs in
-        register_obs reg;
-        let ipc_series = Obs.Registry.series reg "ripple_sim_ipc" in
-        let mpki_series = Obs.Registry.series reg "ripple_sim_mpki" in
-        let every = max 1 (n / 16) in
-        Some
-          (fun at ->
-            if (at + 1) mod every = 0 then begin
-              let original = !instructions - !hint_instructions in
-              if original > 0 then begin
-                let cycles =
-                  (config.Config.cpi_base *. Float.of_int original)
-                  +. (config.Config.hint_cpi *. Float.of_int !hint_instructions)
-                  +. (config.Config.miss_exposure *. Float.of_int !miss_cycles)
-                in
-                Obs.Metric.sample ipc_series ~at
-                  (if cycles > 0.0 then Float.of_int original /. cycles else 0.0);
-                Obs.Metric.sample mpki_series ~at
-                  (Stats.mpki (Cache.stats l1) ~instructions:original)
-              end
-            end)
-    in
-    for at = 0 to n - 1 do
-      (* Steady state: warm the caches and predictors, then zero the
-         counters at the warm-up boundary. *)
-      if at = warmup && warmup > 0 then reset_counters ();
-      step at;
-      match sampler with Some f -> f at | None -> ()
-    done;
-    let result =
-      finish ~config ~instructions:!instructions ~hint_instructions:!hint_instructions
-        ~miss_cycles:(Float.of_int !miss_cycles) ~l1i:(Cache.stats l1)
-        ~l2_served:!l2_served ~l3_served:!l3_served ~mem_served:!mem_served
-    in
-    (match obs with
-    | Some o ->
-      observe_result o result;
-      observe_duel o l1
-    | None -> ());
+    drive b ~trace ~first:0 ~stop:n ~warmup ~sample:(sampler ~obs ~n b) fe.fetch;
+    let result = result_of b in
+    observe obs b result;
     (result, None)
   | Some (sampling : Sampling.t) ->
     let spans = Sampling.select ~warmup ~n sampling in
+    let step ~first ~stop = drive b ~trace ~first ~stop ~warmup:0 ~sample:ignore fe.fetch in
     (* Warm phase, then checkpoint: cache + hierarchy + prefetcher +
        in-flight prefetches, restored before every window. *)
-    for at = 0 to min warmup n - 1 do
-      step at
-    done;
-    reset_counters ();
+    step ~first:0 ~stop:(min warmup n);
+    reset b;
     let restore =
-      let restore_l1 = Cache.save l1 in
-      let restore_hierarchy = Hierarchy.save hierarchy in
-      let restore_pf = pf.Prefetcher.save () in
-      let in_flight' = Array.copy in_flight in
+      let restore_l1 = Cache.save b.l1 in
+      let restore_hierarchy = Hierarchy.save b.hierarchy in
+      let restore_front = fe.save () in
       fun () ->
         restore_l1 ();
         restore_hierarchy ();
-        restore_pf ();
-        Array.blit in_flight' 0 in_flight 0 slots
+        restore_front ()
     in
+    (* The checkpoint rewinds the L1I's stats, so each window's are
+       spliced in; the back end's own counters are never rewound and sum
+       the windows as they go. *)
     let total_stats = Stats.create () in
-    let t_instr = ref 0 and t_hint = ref 0 and t_miss = ref 0 in
-    let t_l2 = ref 0 and t_l3 = ref 0 and t_mem = ref 0 in
     Array.iter
       (fun (w_start, w_end) ->
         restore ();
-        let snap = Stats.copy (Cache.stats l1) in
-        let s_instr = !instructions and s_hint = !hint_instructions in
-        let s_miss = !miss_cycles in
-        let s_l2 = !l2_served and s_l3 = !l3_served and s_mem = !mem_served in
-        for at = w_start to w_end - 1 do
-          step at
-        done;
-        t_instr := !t_instr + !instructions - s_instr;
-        t_hint := !t_hint + !hint_instructions - s_hint;
-        t_miss := !t_miss + !miss_cycles - s_miss;
-        t_l2 := !t_l2 + !l2_served - s_l2;
-        t_l3 := !t_l3 + !l3_served - s_l3;
-        t_mem := !t_mem + !mem_served - s_mem;
-        Stats.accumulate_delta ~into:total_stats ~before:snap ~after:(Cache.stats l1))
+        let snap = Stats.copy (Cache.stats b.l1) in
+        step ~first:w_start ~stop:w_end;
+        Stats.accumulate_delta ~into:total_stats ~before:snap ~after:(Cache.stats b.l1))
       spans;
     let result =
-      finish ~config ~instructions:!t_instr ~hint_instructions:!t_hint
-        ~miss_cycles:(Float.of_int !t_miss) ~l1i:total_stats ~l2_served:!t_l2
-        ~l3_served:!t_l3 ~mem_served:!t_mem
+      finish ~config ~instructions:b.instructions ~hint_instructions:b.hint_instructions
+        ~miss_cycles:(Float.of_int b.miss_cycles) ~l1i:total_stats ~l2_served:b.l2_served
+        ~l3_served:b.l3_served ~mem_served:b.mem_served
     in
-    (match obs with
-    | Some o ->
-      observe_result o result;
-      observe_duel o l1
-    | None -> ());
+    observe obs b result;
     (result, Some (Sampling.report_of_spans ~warmup ~n spans))
 
 let run ?config ?warmup ?on_hint ~program ~trace ~policy ~prefetcher () =
@@ -441,68 +551,32 @@ let run ?config ?warmup ?on_hint ~program ~trace ~policy ~prefetcher () =
     (run_trace ?config ?warmup ?on_hint ~program ~trace:(Trace.Blocks trace) ~policy
        ~prefetcher ())
 
-let instructions_from_trace ~program ~(trace : Trace.t) ~warmup =
+let instructions_from ~program ~trace ~warmup =
   let per_block = Array.map Basic_block.total_instrs (Program.blocks program) in
   let total = ref 0 in
-  for i = warmup to Trace.length trace - 1 do
-    total := !total + per_block.(Trace.get trace i)
+  for i = warmup to Array.length trace - 1 do
+    total := !total + per_block.(trace.(i))
   done;
   !total
-
-let instructions_from ~program ~trace ~warmup =
-  instructions_from_trace ~program ~trace:(Trace.Blocks trace) ~warmup
 
 let ideal_cache ?(config = Config.default) ?(warmup = 0) ~program ~trace () =
   let instructions = instructions_from ~program ~trace ~warmup in
   finish ~config ~instructions ~hint_instructions:0 ~miss_cycles:0.0 ~l1i:(Stats.create ())
     ~l2_served:0 ~l3_served:0 ~mem_served:0
 
-let record_stream_indexed_trace ?(config = Config.default) ?backing ~program
-    ~(trace : Trace.t) ~prefetcher () =
-  let l1 = Cache.create ~geometry:config.Config.l1i ~policy:Lru.make () in
-  let pf = prefetcher program in
-  let lines = block_lines program in
-  let blocks = Program.blocks program in
-  let builder = Access_stream.Builder.create ?backing () in
+(* Per-entry trace positions, the coordinate change Ripple's analysis
+   and the oracle's warm-up boundary use: block [at] owns the entries
+   between its offset and the next. *)
+let record_stream_indexed_trace ?config ?backing ~program ~trace ~prefetcher () =
+  let r = record ?config ?backing ~program ~trace ~prefetcher () in
   let pos = Int_stream.Builder.create ?backing () in
-  let emit (acc : Access.packed) ~at =
-    Access_stream.Builder.add builder acc;
-    Int_stream.Builder.add pos at
-  in
-  let delay = max 0 config.Config.prefetch_latency_blocks in
-  let slots = delay + 1 in
-  let in_flight = Array.make slots [] in
-  let rec complete_all ~at = function
-    | [] -> ()
-    | (acc : Access.packed) :: rest ->
-      complete_all ~at rest;
-      emit acc ~at;
-      ignore (Cache.access_packed l1 acc)
-  in
-  let rec issue_all ~at = function
-    | [] -> ()
-    | (acc : Access.packed) :: rest ->
-      let slot = (at + delay) mod slots in
-      in_flight.(slot) <- acc :: in_flight.(slot);
-      issue_all ~at rest
-  in
-  let n = Trace.length trace in
-  for at = 0 to n - 1 do
-    let id = Trace.get trace at in
-    let slot = at mod slots in
-    complete_all ~at in_flight.(slot);
-    in_flight.(slot) <- [];
-    let b = blocks.(id) in
-    issue_all ~at (pf.Prefetcher.on_block b);
-    let bl = lines.(id) in
-    for i = 0 to Array.length bl - 1 do
-      let acc = Access.pack_demand ~line:bl.(i) ~block:id in
-      emit acc ~at;
-      let missed = Cache.access_packed l1 acc = Cache.Miss in
-      issue_all ~at (pf.Prefetcher.on_demand ~line:bl.(i) ~missed)
+  for at = 0 to Recording.blocks r - 1 do
+    for _ = Int_stream.get r.Recording.offsets at to Int_stream.get r.Recording.offsets (at + 1) - 1 do
+      Int_stream.Builder.add pos at
     done
   done;
-  (Access_stream.Builder.finish builder, Int_stream.Builder.finish pos)
+  Int_stream.close r.Recording.offsets;
+  (r.Recording.stream, Int_stream.Builder.finish pos)
 
 let record_stream_indexed ?config ~program ~trace ~prefetcher () =
   let stream, pos =
@@ -511,7 +585,7 @@ let record_stream_indexed ?config ~program ~trace ~prefetcher () =
   (stream, Int_stream.to_array pos)
 
 let record_stream ?config ~program ~trace ~prefetcher () =
-  fst (record_stream_indexed ?config ~program ~trace ~prefetcher ())
+  Recording.stream (record ?config ~program ~trace:(Trace.Blocks trace) ~prefetcher ())
 
 (* The L2/L3 side of an oracle run: [fill ~index acc] drives the
    hierarchy with one L1i fill, in stream order, and charges the
@@ -552,14 +626,7 @@ let stream_count_from ~stream_pos ~warmup =
   let rec find i = if i >= n then n else if stream_pos.(i) >= warmup then i else find (i + 1) in
   if warmup = 0 then 0 else find 0
 
-let oracle ?(config = Config.default) ?(warmup = 0) ?stream ?replay ~mode ~program ~trace
-    ~prefetcher () =
-  let stream, stream_pos =
-    match stream with
-    | Some s -> s
-    | None -> record_stream_indexed ~config ~program ~trace ~prefetcher ()
-  in
-  let count_from = stream_count_from ~stream_pos ~warmup in
+let oracle_of ~config ~warmup ~count_from ?replay ~mode ~program ~trace stream =
   let instructions = instructions_from ~program ~trace ~warmup in
   let fill, result = oracle_charge ~config ~instructions ~count_from in
   match replay with
@@ -578,3 +645,20 @@ let oracle ?(config = Config.default) ?(warmup = 0) ?stream ?replay ~mode ~progr
         stream
     in
     result res
+
+let replay_oracle ?(config = Config.default) ?(warmup = 0) ~mode ~program ~trace recording =
+  oracle_of ~config ~warmup
+    ~count_from:(Recording.count_from recording ~warmup)
+    ~mode ~program ~trace (Recording.stream recording)
+
+let oracle ?(config = Config.default) ?(warmup = 0) ?stream ?replay ~mode ~program ~trace
+    ~prefetcher () =
+  match stream with
+  | Some (stream, stream_pos) ->
+    oracle_of ~config ~warmup ~count_from:(stream_count_from ~stream_pos ~warmup) ?replay ~mode
+      ~program ~trace stream
+  | None ->
+    let recording = record ~config ~program ~trace:(Trace.Blocks trace) ~prefetcher () in
+    oracle_of ~config ~warmup
+      ~count_from:(Recording.count_from recording ~warmup)
+      ?replay ~mode ~program ~trace (Recording.stream recording)

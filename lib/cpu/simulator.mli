@@ -7,6 +7,17 @@
     of their block (invalidating or demoting their target line in the
     L1I only).
 
+    The simulator is two halves.  The {e front end} turns the trace into
+    the L1I access sequence: per block, the prefetches that land, then
+    the block's demand fetches.  No prefetcher reads the L1I under
+    evaluation, so that sequence does not depend on the replacement
+    policy.  The {e back end} charges the sequence to the L1I and the
+    hierarchy and retires each block's hints after its last access.
+    {!run_trace} streams the front end straight into the back end;
+    {!record} keeps the sequence as a {!Recording.t} that {!replay}
+    (any policy) and {!replay_oracle} (ideal replacement) consume
+    without running the front end again.
+
     IPC is computed over {e original} instructions (hint instructions
     excluded from the numerator, though they cost cycles), so runs of the
     same trace with and without instrumentation are directly comparable:
@@ -92,6 +103,73 @@ module Sampling : sig
   val report_to_json : report -> Ripple_util.Json.t
 end
 
+(** One trace's L1I access sequence, as the front end produced it: the
+    packed accesses in order plus, per trace position, the offset of
+    that block's first access.  Immutable once built, so cells on other
+    domains may replay it at the same time; whoever recorded it closes
+    it. *)
+module Recording : sig
+  type t
+
+  val stream : t -> Access_stream.t
+  (** The accesses, demand and prefetch, in simulation order. *)
+
+  val blocks : t -> int
+  (** Length of the recorded trace. *)
+
+  val count_from : t -> warmup:int -> int
+  (** First stream index whose block is at or past [warmup] — the
+      [count_from] boundary of a Belady replay measured from there. *)
+
+  val position : t -> int -> int
+  (** The trace position of the block that issued stream entry [i].
+      Raises [Invalid_argument] out of bounds. *)
+
+  val close : t -> unit
+  (** Releases the backing (unlinking spill files); idempotent. *)
+end
+
+val record :
+  ?config:Config.t ->
+  ?backing:Int_stream.backing ->
+  program:Program.t ->
+  trace:Trace.t ->
+  prefetcher:(Program.t -> Prefetcher.t) ->
+  unit ->
+  Recording.t
+(** Runs the front end over [trace] alone.  With [~backing:Spill] the
+    stream and its offsets are written through to mmap-backed spill
+    files, so recording a 100 M-block trace leaves O(1) heap behind.
+    Hints do not touch the front end, so an instrumented program records
+    the same sequence as the program it was derived from. *)
+
+val replay :
+  ?config:Config.t ->
+  ?warmup:int ->
+  ?obs:Ripple_obs.Run.t ->
+  ?on_hint:(at:int -> Ripple_isa.Basic_block.hint -> resident:bool -> unit) ->
+  program:Program.t ->
+  trace:Trace.t ->
+  policy:Policy.factory ->
+  Recording.t ->
+  result
+(** The back end over a recording of [trace] (made with the same
+    [config] and prefetcher): equal to {!run_trace}'s full run, counters,
+    [on_hint] calls and IPC/MPKI series included.  [program] supplies
+    the hints and instruction counts, so a recording of the original
+    binary replays its instrumented copy.  Raises [Invalid_argument]
+    when the recording's length is not the trace's. *)
+
+val replay_oracle :
+  ?config:Config.t ->
+  ?warmup:int ->
+  mode:Belady.mode ->
+  program:Program.t ->
+  trace:int array ->
+  Recording.t ->
+  result
+(** {!oracle} over a recording of [trace]. *)
+
 val run :
   ?config:Config.t ->
   ?warmup:int ->
@@ -123,7 +201,8 @@ val run_trace :
   unit ->
   result * Sampling.report option
 (** {!run} generalized over the trace representation, with an
-    observability context and optional sampled execution.
+    observability context and optional sampled execution.  The front end
+    feeds the back end block by block, so no access sequence is kept.
 
     [obs] attaches the run to an observability context: the final result
     is folded into the [ripple_sim_*] counters ({!observe_result}), and
@@ -170,10 +249,9 @@ val oracle :
   unit ->
   result
 (** Ideal replacement (MIN or Demand-MIN) over the access stream the
-    prefetcher produces.  The stream is recorded under an LRU reference
-    run (prefetcher reactions depend on hit/miss outcomes); the oracle
-    then replays it offline — the standard construction for
-    prefetch-aware replacement limit studies.  [stream] supplies a
+    prefetcher produces.  The stream is the front end's recording
+    ({!record}); the oracle replays it offline — the standard
+    construction for prefetch-aware replacement limit studies.  [stream] supplies a
     pre-recorded indexed stream (as returned by
     {!record_stream_indexed} for the same config/trace/prefetcher), so a
     caller that already holds the stream — or chose its backing — skips
@@ -200,10 +278,10 @@ val record_stream :
   prefetcher:(Program.t -> Prefetcher.t) ->
   unit ->
   Access_stream.t
-(** The demand+prefetch access stream of an LRU reference run — the
-    input to both {!oracle} and Ripple's offline analysis.  Recorded
-    straight into packed chunks: one word per access, no boxed records,
-    so a 10x longer trace costs 10x one-word entries and nothing else. *)
+(** The demand+prefetch access stream of {!record} — the input to both
+    {!oracle} and Ripple's offline analysis.  Recorded straight into
+    packed chunks: one word per access, no boxed records, so a 10x
+    longer trace costs 10x one-word entries and nothing else. *)
 
 val record_stream_indexed :
   ?config:Config.t ->
@@ -229,7 +307,8 @@ val record_stream_indexed_trace :
     and the stream backing: with [~backing:Spill] both the access
     stream and its position index are written through to mmap-backed
     spill files, so recording a 100 M-block trace leaves O(1) heap
-    behind. *)
+    behind.  The position index has one entry per access; a
+    {!Recording.t} holds one per trace position instead. *)
 
 val prefetcher_none : Program.t -> Prefetcher.t
 val prefetcher_nlp : ?config:Config.t -> Program.t -> Prefetcher.t

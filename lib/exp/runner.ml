@@ -90,65 +90,89 @@ let trace_of app ~n_instrs (input : Spec.input) =
     Hashtbl.add memo.traces key t;
     t
 
-(* The prefetcher-shaped access stream of the eval trace, in packed form,
-   recorded under an LRU reference run.  The position index is consulted
-   only for the warm-up boundary search, so it is materialized; the
-   stream itself — the big half — keeps whatever backing the caller
-   chose, and the caller closes it. *)
-let stream_of ~config ~backing ~trace ~program ~prefetcher =
-  let stream, pos =
-    Simulator.record_stream_indexed_trace ~config ~backing ~program
-      ~trace:(Simulator.Trace.Blocks trace) ~prefetcher ()
-  in
-  let s = (stream, Ripple_util.Int_stream.to_array pos) in
-  Ripple_util.Int_stream.close pos;
-  s
+(* --------------------------- recordings ---------------------------- *)
+
+(* A cell's L1I access sequence is a function of its app, trace and
+   prefetcher — never of its policy — so the cells that share those
+   share one front-end recording of the evaluation trace. *)
+let group_key (spec : Spec.t) =
+  (spec.Spec.app, spec.Spec.n_instrs, spec.Spec.input, spec.Spec.prefetch)
+
+(* Whether a cell can replay its group's recording.  Sampled runs
+   restore the front end before each window, so sampled policy cells
+   run it themselves; Ripple cells still take their accuracy windows
+   from the recording. *)
+let replays ~sampling (spec : Spec.t) =
+  match spec.Spec.kind with
+  | Spec.Policy _ -> Option.is_none sampling
+  | Spec.Oracle | Spec.Ripple _ -> true
+  | Spec.Ideal_cache -> false
+
+let record ~config ~backing (spec : Spec.t) =
+  let program = (workload_of spec.Spec.app).W.Cfg_gen.program in
+  let eval = trace_of spec.Spec.app ~n_instrs:spec.Spec.n_instrs spec.Spec.input in
+  Simulator.record ~config ~backing ~program ~trace:(Simulator.Trace.Blocks eval)
+    ~prefetcher:(Pipeline.prefetcher_of ~config spec.Spec.prefetch)
+    ()
 
 (* ----------------------------- one cell ------------------------------ *)
 
-let run_spec ?(config = Config.default) ?(backing = Ripple_cache.Access_stream.Heap)
-    ?sampling (spec : Spec.t) =
+(* One cell in the calling domain.  [recording], when given, hands out
+   the group's recording, borrowed: the cell never closes it.  Without
+   it a policy cell streams the front end into the back end, and an
+   oracle or Ripple cell records the trace for itself alone. *)
+let run_cell ~config ~backing ~sampling ~recording (spec : Spec.t) =
   let workload = workload_of spec.Spec.app in
   let program = workload.W.Cfg_gen.program in
   let eval = trace_of spec.Spec.app ~n_instrs:spec.Spec.n_instrs spec.Spec.input in
+  let trace = Simulator.Trace.Blocks eval in
   let warmup = Array.length eval / 2 in
   let prefetch = spec.Spec.prefetch in
-  let prefetcher = Pipeline.prefetcher_of ~config prefetch in
   let policy_of name = Registry.factory ~seed:(Spec.prng_seed spec) name in
   (* Every cell gets a private observability context; the deterministic
      snapshot rides on the outcome so {!Report} can render it into the
      JSONL regardless of which domain ran the cell. *)
   let obs = Obs.Run.create () in
+  let simulate f = Obs.Span.with_span (Obs.Run.spans obs) "simulate" f in
   match spec.Spec.kind with
   | Spec.Policy name ->
+    let policy = policy_of name in
     let result =
-      Obs.Span.with_span (Obs.Run.spans obs) "simulate" (fun () ->
-          fst
-            (Simulator.run_trace ~config ~warmup ~obs ?sampling ~program
-               ~trace:(Simulator.Trace.Blocks eval) ~policy:(policy_of name) ~prefetcher ()))
+      match recording with
+      | Some recording ->
+        let recording = recording () in
+        simulate (fun () -> Simulator.replay ~config ~warmup ~obs ~program ~trace ~policy recording)
+      | None ->
+        simulate (fun () ->
+            fst
+              (Simulator.run_trace ~config ~warmup ~obs ?sampling ~program ~trace ~policy
+                 ~prefetcher:(Pipeline.prefetcher_of ~config prefetch)
+                 ()))
     in
     { result; evaluation = None; analysis = None; metrics = Obs.Run.snapshot obs }
   | Spec.Ideal_cache ->
-    let result =
-      Obs.Span.with_span (Obs.Run.spans obs) "simulate" (fun () ->
-          Simulator.ideal_cache ~config ~warmup ~program ~trace:eval ())
-    in
+    let result = simulate (fun () -> Simulator.ideal_cache ~config ~warmup ~program ~trace:eval ()) in
     Simulator.observe_result obs result;
     { result; evaluation = None; analysis = None; metrics = Obs.Run.snapshot obs }
   | Spec.Oracle ->
-    let stream = stream_of ~config ~backing ~trace:eval ~program ~prefetcher in
+    let oracle recording =
+      simulate (fun () ->
+          Simulator.replay_oracle ~config ~warmup ~mode:(Pipeline.belady_mode_of prefetch) ~program
+            ~trace:eval recording)
+    in
     let result =
-      Fun.protect
-        ~finally:(fun () -> Ripple_cache.Access_stream.close (fst stream))
-        (fun () ->
-          Obs.Span.with_span (Obs.Run.spans obs) "simulate" (fun () ->
-              Simulator.oracle ~config ~warmup ~stream ~mode:(Pipeline.belady_mode_of prefetch)
-                ~program ~trace:eval ~prefetcher ()))
+      match recording with
+      | Some recording -> oracle (recording ())
+      | None ->
+        let own = record ~config ~backing spec in
+        Fun.protect ~finally:(fun () -> Simulator.Recording.close own) (fun () -> oracle own)
     in
     Simulator.observe_result obs result;
     { result; evaluation = None; analysis = None; metrics = Obs.Run.snapshot obs }
   | Spec.Ripple { policy; threshold } ->
+    let policy = policy_of policy in
     let train = trace_of spec.Spec.app ~n_instrs:spec.Spec.n_instrs Spec.Train in
+    let recording = Option.map (fun recording -> recording ()) recording in
     let oc =
       Pipeline.run ~obs
         {
@@ -158,7 +182,7 @@ let run_spec ?(config = Config.default) ?(backing = Ripple_cache.Access_stream.H
           prefetch;
           backing;
           sampling;
-          eval = Some (Pipeline.Eval.v ~warmup ~trace:eval ~policy:(policy_of policy) ());
+          eval = Some (Pipeline.Eval.v ~warmup ?recording ~trace:eval ~policy ());
         }
         ~source:program (Pipeline.Trace train)
     in
@@ -176,9 +200,59 @@ let progress_lock = Mutex.create ()
 
 let breaker_reason = "circuit breaker: failure budget exhausted"
 
-let run ?config ?backing ?sampling ?jobs ?(quiet = false) ?(retries = 0)
-    ?max_failures specs =
+(* One group's recording: made by the first of its cells to ask for it,
+   closed once the last cell that uses it has finished. *)
+type shared = {
+  lock : Mutex.t;
+  mutable recording : Simulator.Recording.t option;
+  mutable users : int;  (* cells of the group that replay it, still to finish *)
+}
+
+let run ?(config = Config.default) ?(backing = Ripple_cache.Access_stream.Heap) ?sampling ?jobs
+    ?(quiet = false) ?(retries = 0) ?max_failures specs =
   let specs = Array.of_list specs in
+  (* Built before the pool starts and only read by the workers; the
+     mutable part of each entry is under its lock. *)
+  let groups = Hashtbl.create 16 in
+  Array.iter
+    (fun spec ->
+      if replays ~sampling spec then
+        match Hashtbl.find_opt groups (group_key spec) with
+        | Some g -> g.users <- g.users + 1
+        | None ->
+          Hashtbl.add groups (group_key spec)
+            { lock = Mutex.create (); recording = None; users = 1 })
+    specs;
+  (* A recording pays only when two cells read it: a cell alone in its
+     group runs as if nothing were shared, and holds no recording for
+     the length of its run. *)
+  Hashtbl.filter_map_inplace (fun _ g -> if g.users > 1 then Some g else None) groups;
+  (* Which cells share is decided here, once: [recording_of] is [Some]
+     exactly for the cells counted in a group's [users]. *)
+  let recording_of spec =
+    match Hashtbl.find_opt groups (group_key spec) with
+    | Some g when replays ~sampling spec ->
+      Some
+        ( g,
+          fun () ->
+            Mutex.protect g.lock (fun () ->
+                match g.recording with
+                | Some r -> r
+                | None ->
+                  let r = record ~config ~backing spec in
+                  g.recording <- Some r;
+                  r) )
+    | _ -> None
+  in
+  let close g =
+    Option.iter Simulator.Recording.close g.recording;
+    g.recording <- None
+  in
+  let release g =
+    Mutex.protect g.lock (fun () ->
+        g.users <- g.users - 1;
+        if g.users = 0 then close g)
+  in
   let total = Array.length specs in
   let done_count = Atomic.make 0 in
   let failures = Atomic.make 0 in
@@ -192,6 +266,7 @@ let run ?config ?backing ?sampling ?jobs ?(quiet = false) ?(retries = 0)
     | Some limit -> fun () -> Atomic.get failures >= limit
   in
   let f spec =
+    let shared = recording_of spec in
     let t0 = Unix.gettimeofday () in
     let g0 = Gc.quick_stat () in
     (* Bounded retry with seed perturbation: a deterministic failure
@@ -203,7 +278,7 @@ let run ?config ?backing ?sampling ?jobs ?(quiet = false) ?(retries = 0)
         if k = 0 then spec
         else { spec with Spec.seed = Spec.perturb_seed spec.Spec.seed ~attempt:k }
       in
-      match run_spec ?config ?backing ?sampling spec_k with
+      match run_cell ~config ~backing ~sampling ~recording:(Option.map snd shared) spec_k with
       | outcome -> (Done outcome, k + 1)
       | exception e ->
         let backtrace = String.trim (Printexc.get_backtrace ()) in
@@ -213,7 +288,11 @@ let run ?config ?backing ?sampling ?jobs ?(quiet = false) ?(retries = 0)
           (Failed { message = Printexc.to_string e; backtrace }, k + 1)
         end
     in
-    let status, attempts = attempt 0 in
+    let status, attempts =
+      Fun.protect
+        ~finally:(fun () -> Option.iter (fun (g, _) -> release g) shared)
+        (fun () -> attempt 0)
+    in
     let g1 = Gc.quick_stat () in
     let elapsed = Unix.gettimeofday () -. t0 in
     (* Words this domain allocated while the cell ran; promoted words
@@ -239,7 +318,13 @@ let run ?config ?backing ?sampling ?jobs ?(quiet = false) ?(retries = 0)
     end;
     (status, elapsed, gc, attempts)
   in
-  let results = Pool.run ?jobs ~stop ~f specs in
+  (* Cells the breaker skipped, or the pool lost, never release their
+     group: close whatever is still open once the pool is done. *)
+  let results =
+    Fun.protect
+      ~finally:(fun () -> Hashtbl.iter (fun _ g -> Mutex.protect g.lock (fun () -> close g)) groups)
+      (fun () -> Pool.run ?jobs ~stop ~f specs)
+  in
   Array.to_list
     (Array.map2
        (fun spec r ->

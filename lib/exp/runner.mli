@@ -8,7 +8,9 @@
     workload generation and trace execution are deterministic in
     [(app, input, n_instrs)], stochastic policies are seeded from
     {!Spec.prng_seed}, and domains share no mutable state (each worker
-    keeps its own workload/trace memo in [Domain.DLS]).  Results are
+    keeps its own workload/trace memo in [Domain.DLS]) beyond the
+    access recordings {!run} shares, which are immutable once made.
+    Results are
     returned in submission order regardless of completion order, so
     [run ~jobs:1] and [run ~jobs:n] produce identical cell lists,
     byte-for-byte once rendered by {!Report}.
@@ -68,26 +70,6 @@ val result : cell -> (outcome, string) result
 (** The cell's outcome as a result: [Failed] and [Skipped] collapse to
     [Error] with a printable reason. *)
 
-val run_spec :
-  ?config:Config.t ->
-  ?backing:Ripple_util.Int_stream.backing ->
-  ?sampling:Simulator.Sampling.t ->
-  Spec.t ->
-  outcome
-(** Executes one cell in the calling domain.
-
-    [backing] (default [Heap]) places recorded access streams and Belady
-    working tables; [Spill] keeps them in mmap spill files, shrinking
-    the heap of oracle and Ripple cells to O(windows).  An oracle cell
-    records its stream, replays it inline and closes it before
-    returning, so no spill file outlives the cell.  [sampling] switches
-    policy and Ripple evaluation runs to sampled execution
-    ({!Ripple_cpu.Simulator.Sampling}).  Both knobs are
-    representation/execution choices, not experiment parameters:
-    results are byte-identical across backings and deterministic in the
-    sampling spec.
-    @raise Invalid_argument on an unknown app or policy name. *)
-
 val run :
   ?config:Config.t ->
   ?backing:Ripple_util.Int_stream.backing ->
@@ -98,7 +80,32 @@ val run :
   ?max_failures:int ->
   Spec.t list ->
   cell list
-(** Fans the specs out over {!Pool.run}.  [jobs] defaults to
+(** Fans the specs out over {!Pool.run}.
+
+    Cells with the same app, trace length, input and prefetcher share
+    one recording of their evaluation trace
+    ({!Ripple_cpu.Simulator.record}) when two or more of them can: the
+    group's first cell to need it records it, and every policy, oracle
+    and Ripple cell of the group replays it.  A cell alone in its group
+    shares nothing: a policy cell streams the front end into the back
+    end, and an oracle or Ripple cell records the trace for itself and
+    closes it.  [run] owns the shared recordings: each is closed once
+    its group's last cell has finished, and any still open — a group
+    whose cells the breaker skipped — when the pool returns, on every
+    path, so no spill file outlives the sweep.  Replaying instead of
+    re-running the front end changes no result.
+
+    [backing] (default [Heap]) places the recordings and the Belady
+    working tables; [Spill] keeps them in mmap spill files, shrinking
+    the heap of oracle and Ripple cells to O(windows).  [sampling]
+    switches policy and Ripple evaluation runs to sampled execution
+    ({!Ripple_cpu.Simulator.Sampling}); a sampled policy cell runs the
+    front end itself.  Both knobs are representation/execution choices,
+    not experiment parameters: results are byte-identical across
+    backings and deterministic in the sampling spec.  An unknown app or
+    policy name fails its cell.
+
+    [jobs] defaults to
     {!Pool.default_jobs}; [quiet] (default false) silences the per-cell
     progress lines on [stderr].  A cell that raises is retried up to
     [retries] times (default 0) with {!Spec.perturb_seed}ed seeds — the

@@ -6,6 +6,11 @@ type t = {
       (* block ids in address order, for block_at lookups; computed once
          in [v] and shared by [with_hints] and [relocate], which keep
          every block's address or shift them all alike *)
+  line_table : Addr.line array array option Atomic.t;
+      (* per block, [Basic_block.lines] as an array: built on first use
+         rather than in [v], so generating a program does not pay for
+         it, and shared by [with_hints], which keeps the layout.  Two
+         domains racing to build it build equal tables. *)
 }
 
 let user_base = 0x400000
@@ -43,13 +48,22 @@ let v ~entry blocks ~aligned =
   Array.iteri (fun i (b : Basic_block.t) -> assert (b.Basic_block.id = i)) blocks;
   assert (entry >= 0 && entry < Array.length blocks);
   let blocks = layout blocks aligned in
-  { entry; blocks; aligned; by_addr = sort_by_addr blocks }
+  { entry; blocks; aligned; by_addr = sort_by_addr blocks; line_table = Atomic.make None }
 
 let entry t = t.entry
 let n_blocks t = Array.length t.blocks
 let block t i = t.blocks.(i)
 let blocks t = t.blocks
 let aligned t = Array.copy t.aligned
+
+let line_table t =
+  match Atomic.get t.line_table with
+  | Some lines -> lines
+  | None ->
+    let lines = Array.map (fun b -> Array.of_list (Basic_block.lines b)) t.blocks in
+    Atomic.set t.line_table (Some lines);
+    lines
+
 let iter f t = Array.iter f t.blocks
 
 let block_at t addr =
@@ -134,4 +148,4 @@ let relocate t ~line_shift =
         { b with Basic_block.addr })
       t.blocks
   in
-  { t with blocks }
+  { t with blocks; line_table = Atomic.make None }

@@ -40,6 +40,12 @@ val aligned : t -> bool array
     addresses — the layout invariant the static verifier
     ({!Ripple_analysis.Lint}) re-checks. *)
 
+val line_table : t -> Addr.line array array
+(** Per block id, the I-cache lines the block touches ({!Basic_block.lines}
+    as an array).  Built on the first call and shared by every program
+    {!with_hints} derives from it, since injection keeps the layout.
+    Treat as read-only. *)
+
 val iter : (Basic_block.t -> unit) -> t -> unit
 
 val block_at : t -> Addr.t -> Basic_block.t option

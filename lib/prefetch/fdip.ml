@@ -73,12 +73,10 @@ let create_instrumented ?(ftq_depth = default_ftq_depth) ?(issue_width = default
     | Basic_block.Return -> Branch_pred.Ras.pop_id runahead_ras
     | Basic_block.Halt -> -1
   in
-  (* Lines per block, computed once: [Basic_block.lines] allocates a
-     fresh list per call, which the runahead path would otherwise do for
-     every FTQ entry. *)
-  let lines_per_block =
-    Array.map (fun b -> Array.of_list (Basic_block.lines b)) (Program.blocks program)
-  in
+  (* The program's line table: [Basic_block.lines] allocates a fresh
+     list per call, which the runahead path would otherwise do for every
+     FTQ entry. *)
+  let lines_per_block = Program.line_table program in
   let queue_block_lines id =
     let lines = lines_per_block.(id) in
     for i = 0 to Array.length lines - 1 do
@@ -168,7 +166,8 @@ let create_instrumented ?(ftq_depth = default_ftq_depth) ?(issue_width = default
     {
       Prefetcher.name = "fdip";
       on_block;
-      on_demand = (fun ~line:_ ~missed:_ -> []);
+      on_demand = (fun ~line:_ -> []);
+      on_miss = None;
       save;
     }
   in

@@ -13,7 +13,7 @@ let create ?(degree = 1) () =
     recent.(!head) <- line;
     head := (!head + 1) mod filter_size
   in
-  let on_demand ~line ~missed:_ =
+  let on_demand ~line =
     if not (seen line) then begin
       remember line;
       List.init degree (fun i -> Access.pack_prefetch ~line:(line + i + 1) ~block:(-1))
@@ -27,4 +27,4 @@ let create ?(degree = 1) () =
       Array.blit recent' 0 recent 0 filter_size;
       head := head'
   in
-  { Prefetcher.name = "nlp"; on_block = (fun _ -> []); on_demand; save }
+  { Prefetcher.name = "nlp"; on_block = (fun _ -> []); on_demand; on_miss = None; save }

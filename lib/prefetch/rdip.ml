@@ -78,10 +78,7 @@ let create ~program:_ () =
     | Basic_block.Indirect _ | Basic_block.Halt ->
       []
   in
-  let on_demand ~line ~missed =
-    if missed then record_miss line;
-    []
-  in
+
   let save () =
     let table' =
       Array.map
@@ -102,4 +99,10 @@ let create ~program:_ () =
       depth := depth';
       signature := signature'
   in
-  { Prefetcher.name = "rdip"; on_block; on_demand; save }
+  {
+    Prefetcher.name = "rdip";
+    on_block;
+    on_demand = (fun ~line:_ -> []);
+    on_miss = Some record_miss;
+    save;
+  }

@@ -7,7 +7,11 @@
     return-address stack into a {e signature}, associates with each
     signature the set of cache lines missed while that signature was
     live, and prefetches that set as soon as the signature recurs
-    (calls and returns both form new signatures).
+    (calls and returns both form new signatures).  The misses it learns
+    from are those of the simulator front end's LRU reference L1I
+    ({!Prefetcher.t.on_miss}), not of the cache under evaluation, so
+    its prefetches, like every prefetcher's here, do not depend on the
+    replacement policy.
 
     Compared to FDIP it needs no branch-predictor runahead, but it pays
     with a large signature table — the on-chip metadata cost the paper's

@@ -27,12 +27,9 @@ let demand_stream program trace =
      then a flat copy of ints into the stream builder — no per-access
      allocation, and peak memory is one word per access. *)
   let packed_per_block =
-    Array.map
-      (fun (b : Basic_block.t) ->
-        Array.of_list
-          (List.map (fun line -> Access.pack_demand ~line ~block:b.Basic_block.id)
-             (Basic_block.lines b)))
-      (Program.blocks program)
+    Array.mapi
+      (fun block lines -> Array.map (fun line -> Access.pack_demand ~line ~block) lines)
+      (Program.line_table program)
   in
   let builder = Access_stream.Builder.create () in
   Array.iter

@@ -41,7 +41,12 @@ let unlink_spill sf =
           true
         end)
   in
-  if fresh then try Sys.remove sf.path with Sys_error _ -> ()
+  if fresh then (try Sys.remove sf.path with Sys_error _ -> ());
+  fresh
+
+(* Spill files the GC finaliser had to unlink: streams dropped without
+   a [close].  Tests read it to see a leak the backstop would hide. *)
+let finalised_count = Atomic.make 0
 
 module Spill = struct
   let live () =
@@ -52,8 +57,10 @@ module Spill = struct
     let files =
       with_registry (fun () -> Hashtbl.fold (fun _ sf acc -> sf :: acc) registry [])
     in
-    List.iter unlink_spill files;
+    List.iter (fun sf -> ignore (unlink_spill sf)) files;
     List.length files
+
+  let finalised () = Atomic.get finalised_count
 end
 
 (* ---- Streams -------------------------------------------------------- *)
@@ -130,7 +137,7 @@ let spill_path t =
   | Map _ | Chunks _ -> None
 
 let close t =
-  match t.storage with Map m -> unlink_spill m.file | Chunks _ -> ()
+  match t.storage with Map m -> ignore (unlink_spill m.file) | Chunks _ -> ()
 
 (* ---- Builder -------------------------------------------------------- *)
 
@@ -211,7 +218,7 @@ module Builder = struct
 
   let abort b =
     (match b.chan with Some chan -> close_out_noerr chan | None -> ());
-    (match b.file with Some sf -> unlink_spill sf | None -> ());
+    (match b.file with Some sf -> ignore (unlink_spill sf) | None -> ());
     reset b
 
   let map_stream file ~length =
@@ -226,7 +233,7 @@ module Builder = struct
     let m = { arr; file } in
     (* Backstop: a dropped stream must not leak its capture file even if
        no one called [close]. *)
-    Gc.finalise (fun (m : mapped) -> unlink_spill m.file) m;
+    Gc.finalise (fun (m : mapped) -> if unlink_spill m.file then Atomic.incr finalised_count) m;
     { storage = Map m; length }
 
   let finish b : stream =
@@ -264,7 +271,7 @@ module Builder = struct
             match map_stream file ~length with
             | s -> s
             | exception e ->
-                unlink_spill file;
+                ignore (unlink_spill file);
                 raise e
           in
           reset b;

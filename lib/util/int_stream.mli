@@ -116,6 +116,12 @@ module Spill : sig
       the failure-path cleanup hook ({!Ripple_exp.Report.write_jsonl},
       daemon session teardown).  Safe while streams are still in use:
       mappings survive the unlink. *)
+
+  val finalised : unit -> int
+  (** How many spill files the GC finaliser has unlinked so far: streams
+      that were dropped without {!close}.  The finaliser hides such a
+      leak from {!live}; a test forces [Gc.full_major ()] and checks
+      that this count did not move. *)
 end
 
 (** Fixed-size read-write int arrays with the same backing choice.

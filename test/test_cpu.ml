@@ -268,6 +268,210 @@ let test_run_trace_stream_equivalence () =
   Int_stream.close stream;
   checkb "stream trace equals block trace" true (from_stream = from_blocks)
 
+(* -------------------- front end / back end split --------------------- *)
+
+module Pipeline = Ripple_core.Pipeline
+module Registry = Ripple_cache.Registry
+module Obs = Ripple_obs
+module Json = Ripple_util.Json
+
+(* A thrashing model small enough to instrument in a property case. *)
+let small_model seed =
+  {
+    W.Apps.verilator with
+    W.App_model.name = "small";
+    seed;
+    n_functions = 90;
+    hot_functions = 30;
+    handler_blocks = 60;
+    blocks_per_function = 12;
+  }
+
+let prefetches = [| Pipeline.No_prefetch; Pipeline.Nlp; Pipeline.Fdip |]
+
+(* One run, observed: its result, its metric snapshot (IPC/MPKI series
+   included) and every [on_hint] call, as comparable strings. *)
+let observed run =
+  let obs = Obs.Run.create () in
+  let hints = ref [] in
+  let on_hint ~at hint ~resident = hints := (at, hint, resident) :: !hints in
+  let result, report = run ~obs ~on_hint in
+  ( Json.to_string (Simulator.result_to_json result),
+    Option.map (fun r -> Json.to_string (Simulator.Sampling.report_to_json r)) report,
+    Json.to_string (Obs.Snapshot.to_json (Obs.Run.snapshot obs)),
+    List.rev !hints )
+
+let prop_split_matches_reference =
+  QCheck.Test.make ~count:20 ~name:"run_trace and replay of a recording equal the reference loop"
+    QCheck.(
+      quad (int_range 0 1000)
+        (int_range 0 (List.length Registry.names - 1))
+        (int_range 0 2) (int_range 0 3))
+    (fun (seed, policy_index, prefetch_index, warmup_quarter) ->
+      let w = W.Cfg_gen.generate (small_model seed) in
+      let source = w.W.Cfg_gen.program in
+      let train = W.Executor.run w ~input:W.Executor.train ~n_instrs:60_000 in
+      let eval = W.Executor.run w ~input:W.Executor.eval_inputs.(seed mod 4) ~n_instrs:60_000 in
+      let prefetch = prefetches.(prefetch_index) in
+      let mode = if seed mod 3 = 0 then Ripple_core.Injector.Demote else Ripple_core.Injector.Invalidate in
+      (* A low threshold and support inject hundreds of hints. *)
+      let program =
+        (Pipeline.run
+           {
+             Pipeline.Options.default with
+             prefetch;
+             mode;
+             pt_roundtrip = false;
+             threshold = 0.2;
+             min_support = 1;
+           }
+           ~source (Pipeline.Trace train))
+          .Pipeline.program
+      in
+      let name = List.nth Registry.names policy_index in
+      let policy = Registry.factory ~seed name in
+      let prefetcher = Pipeline.prefetcher_of prefetch in
+      let trace = Simulator.Trace.Blocks eval in
+      let warmup = warmup_quarter * Array.length eval / 4 in
+      let reference =
+        observed (fun ~obs ~on_hint ->
+            Simulator_ref.run_trace ~warmup ~obs ~on_hint ~program ~trace ~policy ~prefetcher ())
+      in
+      let streamed =
+        observed (fun ~obs ~on_hint ->
+            Simulator.run_trace ~warmup ~obs ~on_hint ~program ~trace ~policy ~prefetcher ())
+      in
+      (* Recorded on the uninstrumented binary, as the sweep runner's
+         Ripple cells share it. *)
+      let recording = Simulator.record ~program:source ~trace ~prefetcher () in
+      let replayed =
+        observed (fun ~obs ~on_hint ->
+            (Simulator.replay ~warmup ~obs ~on_hint ~program ~trace ~policy recording, None))
+      in
+      let sampling = Simulator.Sampling.v ~seed ~windows:3 ~window_blocks:300 () in
+      let sampled_reference =
+        observed (fun ~obs ~on_hint ->
+            Simulator_ref.run_trace ~warmup ~obs ~on_hint ~sampling ~program ~trace ~policy
+              ~prefetcher ())
+      in
+      let sampled =
+        observed (fun ~obs ~on_hint ->
+            Simulator.run_trace ~warmup ~obs ~on_hint ~sampling ~program ~trace ~policy
+              ~prefetcher ())
+      in
+      Program.static_hints program > 0
+      && streamed = reference && replayed = reference && sampled = sampled_reference)
+
+(* RDIP learns from the front end's LRU reference L1I instead of the
+   evaluated one: under LRU on an uninstrumented binary the two are the
+   same cache, so nothing changes. *)
+let test_rdip_lru_matches_reference () =
+  let w = W.Cfg_gen.generate W.Apps.finagle_http in
+  let program = w.W.Cfg_gen.program in
+  let eval = W.Executor.run w ~input:W.Executor.train ~n_instrs:120_000 in
+  let trace = Simulator.Trace.Blocks eval in
+  let warmup = Array.length eval / 2 in
+  let prefetcher program = Ripple_prefetch.Rdip.create ~program () in
+  let run f = observed (fun ~obs ~on_hint -> f ~obs ~on_hint) in
+  let reference =
+    run (fun ~obs ~on_hint ->
+        Simulator_ref.run_trace ~warmup ~obs ~on_hint ~program ~trace ~policy:Cache.Lru.make
+          ~prefetcher ())
+  in
+  let streamed =
+    run (fun ~obs ~on_hint ->
+        Simulator.run_trace ~warmup ~obs ~on_hint ~program ~trace ~policy:Cache.Lru.make
+          ~prefetcher ())
+  in
+  let recording = Simulator.record ~program ~trace ~prefetcher () in
+  let replayed =
+    run (fun ~obs ~on_hint ->
+        ( Simulator.replay ~warmup ~obs ~on_hint ~program ~trace ~policy:Cache.Lru.make recording,
+          None ))
+  in
+  checkb "streamed = reference" true (streamed = reference);
+  checkb "replayed = reference" true (replayed = reference)
+
+let recording_contents (r : Simulator.Recording.t) =
+  ( Ripple_util.Int_stream.to_array (Cache.Access_stream.raw (Simulator.Recording.stream r)),
+    Array.init (Simulator.Recording.blocks r + 1) (fun at ->
+        Simulator.Recording.count_from r ~warmup:at) )
+
+(* Sharing one recording between a sweep's policy, oracle and Ripple
+   cells rests on this: hints never reach the front end, so every app's
+   instrumented binary records exactly the original's access sequence,
+   under every prefetcher. *)
+let test_instrumented_recording_equals_original () =
+  let hinted = ref 0 in
+  List.iter
+    (fun (model : W.App_model.t) ->
+      let w = W.Cfg_gen.generate model in
+      let source = w.W.Cfg_gen.program in
+      let train = W.Executor.run w ~input:W.Executor.train ~n_instrs:150_000 in
+      let eval = W.Executor.run w ~input:W.Executor.eval_inputs.(0) ~n_instrs:150_000 in
+      let trace = Simulator.Trace.Blocks eval in
+      Array.iter
+        (fun prefetch ->
+          let program =
+            (Pipeline.run
+               {
+                 Pipeline.Options.default with
+                 prefetch;
+                 pt_roundtrip = false;
+                 threshold = 0.2;
+                 min_support = 1;
+               }
+               ~source (Pipeline.Trace train))
+              .Pipeline.program
+          in
+          if Program.static_hints program > 0 then incr hinted;
+          let prefetcher = Pipeline.prefetcher_of prefetch in
+          let original = Simulator.record ~program:source ~trace ~prefetcher () in
+          let instrumented = Simulator.record ~program ~trace ~prefetcher () in
+          checkb
+            (Printf.sprintf "%s/%s: same recording" model.W.App_model.name
+               (Pipeline.prefetch_name prefetch))
+            true
+            (recording_contents original = recording_contents instrumented))
+        prefetches)
+    W.Apps.all;
+  checki "every cell carries hints" 27 !hinted
+
+(* The recording's per-block offsets and the per-access position index
+   describe the same coordinate change, in either backing. *)
+let test_recording_positions () =
+  let module Int_stream = Ripple_util.Int_stream in
+  let w = W.Cfg_gen.generate W.Apps.kafka in
+  let program = w.W.Cfg_gen.program in
+  let eval = W.Executor.run w ~input:W.Executor.train ~n_instrs:60_000 in
+  let trace = Simulator.Trace.Blocks eval in
+  let prefetcher = Simulator.prefetcher_fdip in
+  let recording = Simulator.record ~program ~trace ~prefetcher () in
+  let _, pos = Simulator.record_stream_indexed ~program ~trace:eval ~prefetcher () in
+  let spilled, spilled_pos =
+    Simulator.record_stream_indexed_trace ~backing:Int_stream.Spill ~program ~trace ~prefetcher ()
+  in
+  checkb "spilled index equals the heap one" true
+    (Int_stream.to_array spilled_pos = pos
+    && Cache.Access_stream.to_array spilled
+       = Cache.Access_stream.to_array (Simulator.Recording.stream recording));
+  Cache.Access_stream.close spilled;
+  Int_stream.close spilled_pos;
+  checki "one position per access" (Array.length pos)
+    (Cache.Access_stream.length (Simulator.Recording.stream recording));
+  checkb "positions agree" true
+    (Array.for_all Fun.id (Array.mapi (fun i at -> Simulator.Recording.position recording i = at) pos));
+  List.iter
+    (fun warmup ->
+      checki
+        (Printf.sprintf "count_from %d" warmup)
+        (Simulator.stream_count_from ~stream_pos:pos ~warmup)
+        (Simulator.Recording.count_from recording ~warmup))
+    [ 0; 1; Array.length eval / 2; Array.length eval - 1; Array.length eval; Array.length eval + 5 ];
+  match Simulator.replay ~program ~trace:(Simulator.Trace.Blocks [| 0 |]) ~policy:Cache.Lru.make recording with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "replaying a recording of another trace must be refused"
+
 let suites =
   [
     ( "cpu.config",
@@ -295,5 +499,13 @@ let suites =
         Alcotest.test_case "sampling degenerate = full" `Slow test_sampling_degenerate_exact;
         Alcotest.test_case "sampling deterministic" `Slow test_sampling_run_deterministic;
         Alcotest.test_case "stream trace = block trace" `Slow test_run_trace_stream_equivalence;
+      ] );
+    ( "cpu.split",
+      [
+        QCheck_alcotest.to_alcotest prop_split_matches_reference;
+        Alcotest.test_case "rdip under lru = reference" `Slow test_rdip_lru_matches_reference;
+        Alcotest.test_case "nine apps: instrumented recording = original" `Slow
+          test_instrumented_recording_equals_original;
+        Alcotest.test_case "recording positions" `Quick test_recording_positions;
       ] );
   ]

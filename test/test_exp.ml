@@ -35,10 +35,10 @@ let test_parallel_determinism () =
       Alcotest.(check bool) "cell ok" true (Result.is_ok (Exp.Runner.result c)))
     serial
 
-(* Same property over repeated Oracle specs: each oracle cell records,
-   replays and closes its own access stream, so a sweep that repeats an
-   Oracle spec (and mixes prefetchers) must render byte-identically
-   across job counts, whichever domain runs which copy. *)
+(* Same property over repeated Oracle specs: the cells of one app and
+   prefetcher replay one shared recording, whichever domain made it, so
+   a sweep that repeats an Oracle spec (and mixes prefetchers) must
+   render byte-identically across job counts. *)
 let test_parallel_determinism_repeated_oracles () =
   let open Exp.Spec in
   let specs =
@@ -251,7 +251,20 @@ let test_replay_oracle_identity () =
    JSONL must not change when either does (sampling only for cells it
    does not apply to — here Oracle/Ideal cells — while Policy/Ripple
    cells record their sampled rows deterministically).  A spill-backed
-   run also leaves no spill file linked, at any pool size. *)
+   run also closes every stream it made, at any pool size: none is left
+   linked, and none is left for the GC finaliser to unlink. *)
+let closes_every_stream name run =
+  let module Int_stream = Ripple_util.Int_stream in
+  Gc.full_major ();
+  let finalised = Int_stream.Spill.finalised () in
+  let x = run () in
+  Alcotest.(check (list string)) (name ^ ": no spill file left linked") [] (Int_stream.Spill.live ());
+  Gc.full_major ();
+  Alcotest.(check int)
+    (name ^ ": no stream left to the finaliser")
+    finalised (Int_stream.Spill.finalised ());
+  x
+
 let test_backing_jsonl_identity () =
   let open Exp.Spec in
   let specs =
@@ -265,17 +278,81 @@ let test_backing_jsonl_identity () =
   List.iter
     (fun jobs ->
       let spill =
-        Exp.Report.to_jsonl
-          (Exp.Runner.run ~backing:Ripple_util.Int_stream.Spill ~jobs ~quiet:true specs)
+        closes_every_stream (Printf.sprintf "jobs=%d" jobs) (fun () ->
+            Exp.Report.to_jsonl
+              (Exp.Runner.run ~backing:Ripple_util.Int_stream.Spill ~jobs ~quiet:true specs))
       in
-      Alcotest.(check (list string))
-        (Printf.sprintf "no spill files leaked (jobs=%d)" jobs)
-        []
-        (Ripple_util.Int_stream.Spill.live ());
       Alcotest.(check string)
         (Printf.sprintf "mmap backing JSONL byte-identical (jobs=%d)" jobs)
         baseline spill)
     [ 1; 2 ]
+
+(* The runner owns the shared recordings on every path.  Here one cell
+   raises and is retried, the breaker then skips the rest — including
+   cells of a group whose recording is open — and a lone sampled policy
+   cell runs without one.  Nothing may be left linked or to the
+   finaliser, and the rows must equal a heap run's. *)
+let test_recording_lifetime () =
+  let open Exp.Spec in
+  let app = "finagle-http" in
+  let specs =
+    [
+      v ~n_instrs ~app (Policy "lru");
+      v ~n_instrs ~app Oracle;
+      v ~n_instrs ~app (Ripple { policy = "lru"; threshold = 0.5 });
+      v ~n_instrs ~app (Policy "no-such-policy");
+      v ~n_instrs ~app (Policy "random");
+      v ~n_instrs ~app Oracle;
+      v ~n_instrs ~app ~prefetch:Core.Pipeline.Nlp (Policy "lru");
+    ]
+  in
+  let run backing = Exp.Runner.run ~backing ~jobs:1 ~quiet:true ~retries:1 ~max_failures:1 specs in
+  let spill = closes_every_stream "breaker" (fun () -> run Ripple_util.Int_stream.Spill) in
+  let statuses =
+    List.map
+      (fun (c : Exp.Runner.cell) ->
+        match c.Exp.Runner.status with
+        | Exp.Runner.Done _ -> "done"
+        | Exp.Runner.Failed _ -> Printf.sprintf "failed/%d" c.Exp.Runner.attempts
+        | Exp.Runner.Skipped _ -> "skipped")
+      spill
+  in
+  Alcotest.(check (list string))
+    "one failure after a retry, then the breaker"
+    [ "done"; "done"; "done"; "failed/2"; "skipped"; "skipped"; "skipped" ]
+    statuses;
+  Alcotest.(check string)
+    "rows equal the heap run's"
+    (Exp.Report.to_jsonl (run Ripple_util.Int_stream.Heap))
+    (Exp.Report.to_jsonl spill);
+  let sampling = Cpu.Simulator.Sampling.v ~windows:2 ~window_blocks:400 () in
+  ignore
+    (closes_every_stream "sampled" (fun () ->
+         Exp.Runner.run ~backing:Ripple_util.Int_stream.Spill ~sampling ~jobs:2 ~quiet:true
+           [ v ~n_instrs ~app (Policy "lru"); v ~n_instrs ~app Oracle ]))
+
+(* A cell alone in its group shares no recording: a policy cell streams
+   the front end into the back end, an oracle or Ripple cell records the
+   trace for itself.  Its row must equal the one it gets when a second
+   cell makes the group share, and its own recording must be closed. *)
+let test_lone_cells () =
+  let open Exp.Spec in
+  let app = "finagle-http" in
+  List.iter
+    (fun kind ->
+      let spec = v ~n_instrs ~app kind in
+      let row specs =
+        let cells =
+          Exp.Runner.run ~backing:Ripple_util.Int_stream.Spill ~jobs:1 ~quiet:true specs
+        in
+        Exp.Report.to_jsonl [ Option.get (Exp.Runner.find cells spec) ]
+      in
+      let alone = closes_every_stream (to_string spec) (fun () -> row [ spec ]) in
+      Alcotest.(check string)
+        (to_string spec ^ ": alone = shared")
+        (row [ spec; v ~n_instrs ~app (Policy "random") ])
+        alone)
+    [ Policy "lru"; Oracle; Ripple { policy = "lru"; threshold = 0.5 } ]
 
 (* A sampled sweep is deterministic in the sampling spec — identical
    across reruns and job counts — and its rows carry the sample report. *)
@@ -345,8 +422,9 @@ let roundtrip name json =
 
 let test_json_roundtrip () =
   let spec = Exp.Spec.v ~n_instrs ~app:"finagle-http" (Exp.Spec.Policy "lru") in
-  let outcome = Exp.Runner.run_spec spec in
-  roundtrip "simulator result" (Cpu.Simulator.result_to_json outcome.Exp.Runner.result);
+  (match Exp.Runner.result (List.hd (Exp.Runner.run ~jobs:1 ~quiet:true [ spec ])) with
+  | Ok outcome -> roundtrip "simulator result" (Cpu.Simulator.result_to_json outcome.Exp.Runner.result)
+  | Error e -> Alcotest.fail e);
   let rspec =
     Exp.Spec.v ~n_instrs ~app:"finagle-http"
       (Exp.Spec.Ripple { policy = "lru"; threshold = 0.5 })
@@ -382,6 +460,8 @@ let suites =
         Alcotest.test_case "oracle from a recorded replay = inline oracle" `Slow
           test_replay_oracle_identity;
         Alcotest.test_case "backing leaves JSONL unchanged" `Slow test_backing_jsonl_identity;
+        Alcotest.test_case "recordings closed on every path" `Slow test_recording_lifetime;
+        Alcotest.test_case "a cell alone in its group" `Slow test_lone_cells;
         Alcotest.test_case "sampled sweep deterministic" `Slow test_sampled_sweep_deterministic;
         Alcotest.test_case "registry complete at Table II geometry" `Quick
           test_registry_complete;

@@ -72,7 +72,7 @@ let test_rdip_learns_callsite_misses () =
   (* First call: record misses under main's signature. *)
   let issued1 = pf.Prefetcher.on_block (Program.block program main) in
   checki "nothing known yet" 0 (List.length issued1);
-  ignore (pf.Prefetcher.on_demand ~line:f0_line ~missed:true);
+  (Option.get pf.Prefetcher.on_miss) f0_line;
   (* Return, then call again: the signature recurs and f0's line is
      prefetched. *)
   ignore (pf.Prefetcher.on_block (Program.block program f0));

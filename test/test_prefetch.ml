@@ -84,11 +84,12 @@ let test_ras_copy () =
 
 let test_nlp_prefetches_on_miss () =
   let nlp = Nlp.create ~degree:2 () in
-  let on_miss = nlp.Prefetcher.on_demand ~line:10 ~missed:true in
+  let on_miss = nlp.Prefetcher.on_demand ~line:10 in
   check (Alcotest.list Alcotest.int) "next two lines" [ 11; 12 ]
     (List.map Access.packed_line on_miss);
   checkb "all prefetch kind" true (List.for_all Access.packed_is_prefetch on_miss);
-  checki "nothing on hit" 0 (List.length (nlp.Prefetcher.on_demand ~line:10 ~missed:false))
+  checki "nothing on a repeated line" 0 (List.length (nlp.Prefetcher.on_demand ~line:10));
+  checkb "access-triggered: no miss hook" true (nlp.Prefetcher.on_miss = None)
 
 (* ------------------------------- Fdip ------------------------------- *)
 

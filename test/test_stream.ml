@@ -184,6 +184,24 @@ let test_spill_lifecycle () =
   Alcotest.(check bool) "contents survive unlink" true
     (Access_stream.to_array s = Array.of_list accs)
 
+(* A stream dropped without [close] is unlinked by the GC finaliser,
+   which hides the leak from [Spill.live]; [Spill.finalised] counts it,
+   and a closed stream is never counted. *)
+let test_spill_finaliser_counted () =
+  let mk () =
+    Access_stream.of_list ~backing:spill_backing
+      (List.init 100 (fun i -> Access.demand ~line:i ~block:(-1)))
+  in
+  Gc.full_major ();
+  let before = Int_stream.Spill.finalised () in
+  let closed = mk () in
+  Access_stream.close closed;
+  ignore (Sys.opaque_identity (mk ()));
+  Gc.full_major ();
+  Alcotest.(check (list string)) "nothing left linked" [] (Int_stream.Spill.live ());
+  Alcotest.(check int) "only the dropped stream is counted" (before + 1)
+    (Int_stream.Spill.finalised ())
+
 let test_spill_sweep () =
   (* The failure-path hook unlinks every still-registered spill file. *)
   let mk () =
@@ -288,5 +306,7 @@ let suites =
       @ [
           Alcotest.test_case "spill lifecycle (close/unlink)" `Quick test_spill_lifecycle;
           Alcotest.test_case "spill sweep (failure-path cleanup)" `Quick test_spill_sweep;
+          Alcotest.test_case "spill finaliser unlinks are counted" `Quick
+            test_spill_finaliser_counted;
         ] );
   ]
