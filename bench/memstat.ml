@@ -1,18 +1,18 @@
 (* Peak-memory / allocation probe for the access-stream pipeline.
 
-     dune exec bench/memstat.exe -- [n_instrs] [heap|mmap] [sample_windows]
+     dune exec bench/memstat.exe -- [n_instrs] [heap|mmap]
 
    Measures, for one (application, prefetcher) configuration at the
-   given trace length: words allocated, top-heap words and the process
-   peak RSS (VmHWM) reached by (1) generating the block trace,
+   given trace length, the words allocated, top-heap words, process
+   peak RSS (VmHWM) and CPU seconds of (1) generating the block trace,
    (2) recording the front end's access stream, (3) the Belady
-   Demand-MIN replay over it, and (4) a full Simulator run — the four
-   hot paths of the pipeline — under either stream backing.  With
-   [sample_windows > 0] the simulator pass also runs sampled from a
-   checkpoint and reports the sampled-vs-full IPC/MPKI error, the
-   artifact CI's large-trace smoke job archives.  Numbers feed
-   EXPERIMENTS.md's peak-memory table; the out-of-core acceptance
-   criteria are judged against them. *)
+   Demand-MIN replay over it, (4) an LRU replay of the recording and
+   (5) a full Simulator run — the hot paths of the pipeline — under
+   either stream backing.  The replay and the full run print their
+   IPC/MPKI as [replay ...] and [full ...] lines, which must be equal;
+   CI's large-trace smoke job checks that at 100 M instructions.
+   Numbers feed EXPERIMENTS.md's peak-memory table; the out-of-core
+   acceptance criteria are judged against them. *)
 
 module W = Ripple_workloads
 module Cache = Ripple_cache
@@ -42,15 +42,18 @@ let vm_hwm_kb () =
 let measure name f =
   Gc.compact ();
   let before = Gc.quick_stat () in
+  let t0 = Sys.time () in
   let x = f () in
+  let cpu = Sys.time () -. t0 in
   let after = Gc.quick_stat () in
-  Printf.printf "%-24s allocated_words=%14.0f top_heap_words=%10d live_words=%10d vm_hwm_kb=%8d\n%!"
+  Printf.printf
+    "%-24s allocated_words=%14.0f top_heap_words=%10d live_words=%10d vm_hwm_kb=%8d cpu_s=%7.2f\n%!"
     name
     (words after -. words before)
     after.Gc.top_heap_words
     (let s = Gc.quick_stat () in
      s.Gc.heap_words)
-    (vm_hwm_kb ());
+    (vm_hwm_kb ()) cpu;
   x
 
 let () =
@@ -64,10 +67,7 @@ let () =
       | Error msg -> failwith msg
     else Int_stream.Heap
   in
-  let sample_windows = if Array.length Sys.argv > 3 then int_of_string Sys.argv.(3) else 0 in
-  Printf.printf "memstat: n_instrs=%d backing=%s sample_windows=%d\n%!" n_instrs
-    (Int_stream.backing_name backing)
-    sample_windows;
+  Printf.printf "memstat: n_instrs=%d backing=%s\n%!" n_instrs (Int_stream.backing_name backing);
   let model = W.Apps.kafka in
   let workload = W.Cfg_gen.generate model in
   let program = workload.W.Cfg_gen.program in
@@ -95,6 +95,12 @@ let () =
                 boxed eviction records, so neither does the probe. *)
              Cache.Belady.simulate ~tables ~record_evictions:false Cache.Geometry.l1i
                ~mode:Cache.Belady.Demand_min stream)));
+  let replay =
+    measure "lru replay" (fun () ->
+        Cpu.Simulator.replay ~warmup ~program ~trace ~policy:Cache.Lru.make recording)
+  in
+  Printf.printf "replay ipc=%.6f mpki=%.4f\n%!" replay.Cpu.Simulator.ipc
+    replay.Cpu.Simulator.mpki;
   Cpu.Simulator.Recording.close recording;
   let full =
     measure "simulator lru+fdip" (fun () ->
@@ -103,26 +109,5 @@ let () =
              ~prefetcher:Cpu.Simulator.prefetcher_fdip ()))
   in
   Printf.printf "full ipc=%.6f mpki=%.4f\n%!" full.Cpu.Simulator.ipc full.Cpu.Simulator.mpki;
-  if sample_windows > 0 then begin
-    let sampling =
-      Cpu.Simulator.Sampling.v ~windows:sample_windows
-        ~window_blocks:(max 1 ((n - warmup) / (4 * sample_windows)))
-        ()
-    in
-    let sampled, report =
-      measure "simulator sampled" (fun () ->
-          Cpu.Simulator.run_trace ~warmup ~sampling ~program ~trace ~policy:Cache.Lru.make
-            ~prefetcher:Cpu.Simulator.prefetcher_fdip ())
-    in
-    let rel a b = if b = 0.0 then 0.0 else Float.abs (a -. b) /. b in
-    let coverage =
-      match report with Some r -> r.Cpu.Simulator.Sampling.coverage | None -> 1.0
-    in
-    Printf.printf "sampled ipc=%.6f mpki=%.4f coverage=%.4f\n%!" sampled.Cpu.Simulator.ipc
-      sampled.Cpu.Simulator.mpki coverage;
-    Printf.printf "ipc_rel_error=%.6f mpki_rel_error=%.6f\n%!"
-      (rel sampled.Cpu.Simulator.ipc full.Cpu.Simulator.ipc)
-      (rel sampled.Cpu.Simulator.mpki full.Cpu.Simulator.mpki)
-  end;
   Cpu.Simulator.Trace.close trace;
   Printf.printf "peak vm_hwm_kb=%d\n%!" (vm_hwm_kb ())

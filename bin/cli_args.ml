@@ -135,39 +135,6 @@ let positive flag arg =
     Term.(
       const (fun n -> if n < 1 then Error (`Msg (flag ^ " must be positive")) else Ok n) $ arg)
 
-let sample_windows_arg =
-  Arg.(
-    value
-    & opt int 0
-    & info [ "sample-windows" ] ~docv:"K"
-        ~doc:
-          "Sampled simulation: after warm-up, measure $(docv) deterministic windows from a \
-           cache/BTB/FDIP checkpoint and splice IPC/MPKI from them (0: replay the full \
-           trace).  The JSONL row records the measured spans and coverage.")
-
-let sample_window_blocks_arg =
-  positive "--sample-window-blocks"
-    Arg.(
-      value
-      & opt int 50_000
-      & info [ "sample-window-blocks" ] ~docv:"N" ~doc:"Blocks measured per sampled window.")
-
-let sample_seed_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "sample-seed" ] ~docv:"S"
-        ~doc:"Seed placing the sampled windows inside their strata.")
-
-(* [--sample-windows 0] (the default) means full replay; the bundle
-   yields the [Sampling.t option] the library layers take. *)
-let sampling_term =
-  Cmdliner.Term.(
-    const (fun windows window_blocks seed ->
-        if windows <= 0 then None
-        else Some (Ripple_cpu.Simulator.Sampling.v ~seed ~windows ~window_blocks ()))
-    $ sample_windows_arg $ sample_window_blocks_arg $ sample_seed_arg)
-
 (* Geometry bundle: one --sets/--ways/--line vocabulary for every
    subcommand that analyses or simulates a cache, defaulting to
    {!Ripple_cache.Geometry.l1i} (64 sets, 8 ways, 64-byte lines —

@@ -194,7 +194,7 @@ let sweep_cmd =
              (skipped cells are recorded as such in the JSONL output).")
   in
   let run apps prefetches policies oracle ideal thresholds ripple_policy n_instrs jobs out
-      metrics seed quiet retries max_failures backing sampling geometry =
+      metrics seed quiet retries max_failures backing geometry =
     let config = { Ripple_cpu.Config.default with Ripple_cpu.Config.l1i = geometry } in
     let specs =
       List.concat_map
@@ -213,7 +213,7 @@ let sweep_cmd =
         apps
     in
     let cells =
-      Exp.Runner.run ~config ~backing ?sampling ?jobs ~quiet ~retries ?max_failures specs
+      Exp.Runner.run ~config ~backing ?jobs ~quiet ~retries ?max_failures specs
     in
     Exp.Report.print_summary cells;
     (match out with
@@ -235,7 +235,7 @@ let sweep_cmd =
       const run $ Cli_args.apps_arg ~verb:"sweep" $ prefetches_arg $ policies_arg $ oracle_flag
       $ ideal_flag $ thresholds_arg $ ripple_policy_arg $ Cli_args.instrs_arg $ Cli_args.jobs_arg
       $ out_arg $ Cli_args.metrics_arg $ seed_arg $ quiet_flag $ retries_arg $ max_failures_arg
-      $ Cli_args.backing_arg $ Cli_args.sampling_term $ Cli_args.geometry_term)
+      $ Cli_args.backing_arg $ Cli_args.geometry_term)
 
 (* ------------------------------- lint ------------------------------- *)
 

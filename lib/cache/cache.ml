@@ -156,20 +156,6 @@ let flush t =
   Array.fill t.state 0 (Array.length t.state) st_cold;
   Array.fill t.tags 0 (Array.length t.tags) (-1)
 
-let save t =
-  let tags' = Array.copy t.tags in
-  let state' = Array.copy t.state in
-  let stats' = Stats.copy t.stats in
-  let seen' = Hashtbl.copy t.seen in
-  let restore_policy = t.policy.Policy.save () in
-  fun () ->
-    Array.blit tags' 0 t.tags 0 (Array.length t.tags);
-    Array.blit state' 0 t.state 0 (Array.length t.state);
-    Stats.copy_into ~src:stats' ~dst:t.stats;
-    Hashtbl.reset t.seen;
-    Hashtbl.iter (fun line () -> Hashtbl.replace t.seen line ()) seen';
-    restore_policy ()
-
 let resident_lines t =
   let acc = ref [] in
   for s = Array.length t.tags - 1 downto 0 do

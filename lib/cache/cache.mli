@@ -56,13 +56,6 @@ val flush : t -> unit
 (** Empties the cache and replacement state is left to age out naturally;
     statistics are preserved. *)
 
-val save : t -> unit -> unit
-(** [save t] deep-copies the complete cache state — contents, way
-    states, statistics, cold-miss history and policy metadata — and
-    returns a thunk that restores it.  The restore may run any number of
-    times: checkpointed warm-up rewinds to the same snapshot before
-    every sampled window. *)
-
 val resident_lines : t -> Addr.line list
 (** All currently valid lines (diagnostics and tests). *)
 

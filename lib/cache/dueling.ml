@@ -69,16 +69,3 @@ let a_misses t = t.a_misses
 let b_misses t = t.b_misses
 let flips t = t.flips
 let storage_bits _ = psel_bits
-
-let save t =
-  let psel' = t.psel
-  and a' = t.a_misses
-  and b' = t.b_misses
-  and flips' = t.flips
-  and last_b' = t.last_b in
-  fun () ->
-    t.psel <- psel';
-    t.a_misses <- a';
-    t.b_misses <- b';
-    t.flips <- flips';
-    t.last_b <- last_b'

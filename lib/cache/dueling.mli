@@ -51,9 +51,3 @@ val flips : t -> int
 val storage_bits : t -> int
 (** Hardware cost of the component itself: the PSEL counter.  (Leader
     membership is an address decode, not storage.) *)
-
-val save : t -> unit -> unit
-(** [save t] snapshots PSEL and the telemetry counters; the returned
-    thunk restores them.  Policies must compose this into their own
-    [Policy.save] so sampled simulation's checkpoint rewind restores
-    the duel along with the replacement state. *)

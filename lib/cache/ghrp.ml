@@ -14,18 +14,17 @@ let mix x =
   x lxor (x lsr 13)
 
 let make ~sets ~ways =
-  let st = Policy.State.create () in
-  let history = Policy.State.ref st 0 in
-  let tables = Array.init n_tables (fun _ -> Policy.State.array st table_entries counter_init) in
-  let signature = Policy.State.array st (sets * ways) 0 in
-  let dead = Policy.State.array st (sets * ways) false in
-  let stamp = Policy.State.array st (sets * ways) 0 in
-  let clock = Policy.State.ref st 0 in
+  let history = ref 0 in
+  let tables = Array.init n_tables (fun _ -> Array.make table_entries counter_init) in
+  let signature = Array.make (sets * ways) 0 in
+  let dead = Array.make (sets * ways) false in
+  let stamp = Array.make (sets * ways) 0 in
+  let clock = ref 0 in
   (* Ring buffer of recently evicted (line, signature) pairs used by the
      premature-eviction fix. *)
-  let victims_line = Policy.State.array st victim_buffer_size (-1) in
-  let victims_sig = Policy.State.array st victim_buffer_size 0 in
-  let victims_head = Policy.State.ref st 0 in
+  let victims_line = Array.make victim_buffer_size (-1) in
+  let victims_sig = Array.make victim_buffer_size 0 in
+  let victims_head = ref 0 in
   let current_signature line = mix (line lxor (!history lsl 5)) land 0xFFFF in
   let table_index t s = mix (s + (t * 0x51ED)) land (table_entries - 1) in
   let predict_dead s =
@@ -109,7 +108,6 @@ let make ~sets ~ways =
     on_eviction;
     on_invalidate = Policy.nop_way;
     demote = (fun ~set ~way -> dead.((set * ways) + way) <- true);
-    save = Policy.State.save st;
     storage_bits;
     duel = None;
   }

@@ -12,7 +12,7 @@ let mix x =
   x lxor (x lsr 13)
 
 (* Diagnostic: how often the predictor says "friendly".  Module-level,
-   deliberately not part of a policy's checkpoint. *)
+   reset by each [make]. *)
 let friendly_lookups = ref 0
 let total_lookups = ref 0
 
@@ -43,22 +43,18 @@ type ehc = { duel : Dueling.t; hits : int array; table : int array }
 let make ~ehc ~sets ~ways =
   friendly_lookups := 0;
   total_lookups := 0;
-  let st = Policy.State.create () in
-  let predictor = Policy.State.array st predictor_entries friendly_threshold in
-  let rrpv = Policy.State.array st (sets * ways) rrpv_max in
-  let last_pc = Policy.State.array st (sets * ways) 0 in
+  let predictor = Array.make predictor_entries friendly_threshold in
+  let rrpv = Array.make (sets * ways) rrpv_max in
+  let last_pc = Array.make (sets * ways) 0 in
   let refine =
     if not ehc then None
-    else begin
-      let duel = Dueling.make ~sets in
-      Policy.State.custom st (fun () -> Dueling.save duel);
+    else
       Some
         {
-          duel;
-          hits = Policy.State.array st (sets * ways) 0;
-          table = Policy.State.array st ehc_entries 0;
+          duel = Dueling.make ~sets;
+          hits = Array.make (sets * ways) 0;
+          table = Array.make ehc_entries 0;
         }
-    end
   in
   let ehc_index pc = mix pc land (ehc_entries - 1) in
   let sample_every = 4 in
@@ -66,11 +62,11 @@ let make ~ehc ~sets ~ways =
   let samplers =
     Array.init ((sets + sample_every - 2) / sample_every) (fun _ ->
         {
-          lines = Policy.State.array st sampler_associativity (-1);
-          pcs = Policy.State.array st sampler_associativity 0;
-          times = Policy.State.array st sampler_associativity 0;
-          clock = Policy.State.ref st 0;
-          occupancy = Policy.State.array st sampler_associativity 0;
+          lines = Array.make sampler_associativity (-1);
+          pcs = Array.make sampler_associativity 0;
+          times = Array.make sampler_associativity 0;
+          clock = ref 0;
+          occupancy = Array.make sampler_associativity 0;
         })
   in
   let sampler_of set = if set mod sample_every = 1 then Some samplers.(set / sample_every) else None in
@@ -254,7 +250,6 @@ let make ~ehc ~sets ~ways =
     on_eviction;
     on_invalidate = Policy.nop_way;
     demote = (fun ~set ~way -> rrpv.((set * ways) + way) <- rrpv_max);
-    save = Policy.State.save st;
     storage_bits;
     duel = Option.map (fun e -> e.duel) refine;
   }

@@ -5,10 +5,9 @@ let make ~sets ~ways =
   (* Recency is a per-slot timestamp from a monotonically increasing
      counter; demotion uses a decreasing counter so demoted lines order
      below every genuine reference. *)
-  let st = Policy.State.create () in
-  let stamp = Policy.State.array st (sets * ways) 0 in
-  let clock = Policy.State.ref st 0 in
-  let demote_clock = Policy.State.ref st (-1) in
+  let stamp = Array.make (sets * ways) 0 in
+  let clock = ref 0 in
+  let demote_clock = ref (-1) in
   let touch ~set ~way =
     incr clock;
     stamp.((set * ways) + way) <- !clock
@@ -37,7 +36,6 @@ let make ~sets ~ways =
       (fun ~set ~way ->
         stamp.((set * ways) + way) <- !demote_clock;
         decr demote_clock);
-    save = Policy.State.save st;
     storage_bits = storage_bits ~sets ~ways;
     duel = None;
   }

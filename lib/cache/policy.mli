@@ -44,20 +44,12 @@ type t = {
       (** A Ripple [Demote] hint: make [way] the preferred next victim
           without invalidating it (§IV, "Invalidation vs. reducing LRU
           priority"). *)
-  save : unit -> unit -> unit;
-      (** [save ()] captures a deep copy of the policy's replacement
-          state; the returned thunk restores it.  Checkpointed warm-up
-          (sampled simulation) snapshots the cache after the warm-up
-          prefix and rewinds to it before each sample window.  Policies
-          allocate their state through {!State} and use
-          [State.save], so no field can be left out. *)
   storage_bits : int;
   duel : Dueling.t option;
       (** The policy's set-dueling component, if it has one — a typed
           telemetry channel: the simulator reads PSEL, per-flavour
           leader misses and selection flips off it for the
-          [ripple_duel_*] metric families.  Policies that set this must
-          register [Dueling.save] with {!State.custom}. *)
+          [ripple_duel_*] metric families. *)
 }
 
 type factory = sets:int -> ways:int -> t
@@ -69,33 +61,6 @@ val nop_access : set:int -> way:int -> Access.packed -> unit
 val nop_way : set:int -> way:int -> unit
 val nop_evict : set:int -> way:int -> line:Ripple_isa.Addr.line -> unit
 
-val nop_save : unit -> unit -> unit
-(** For stateless policies: capturing and restoring are both no-ops. *)
-
 val nop_fill_decision : set:int -> Access.packed -> fill_decision
 (** Always [`Install] — the behaviour of every policy that predates the
     hook, and the default for any policy without a bypass story. *)
-
-(** Checkpointable replacement state.  A policy allocates every mutable
-    array and ref it owns through one [State.t] and sets
-    [save = State.save st]; anything else (a {!Dueling.t}, a PRNG)
-    registers its own snapshot with [custom]. *)
-module State : sig
-  type t
-
-  val create : unit -> t
-
-  val array : t -> int -> 'a -> 'a array
-  (** [array st n v] is [Array.make n v], restored element-wise by
-      [save].  Elements must be immutable (ints, bools). *)
-
-  val ref : t -> 'a -> 'a ref
-  (** A ref restored by [save]; its contents must be immutable. *)
-
-  val custom : t -> (unit -> unit -> unit) -> unit
-  (** Register a snapshot function with the same contract as [save]. *)
-
-  val save : t -> unit -> unit -> unit
-  (** Snapshot everything registered; the returned thunk restores it
-      and may run any number of times. *)
-end

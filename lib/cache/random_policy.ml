@@ -1,13 +1,9 @@
 module Prng = Ripple_util.Prng
 
 let make ~seed ~sets ~ways =
-  let st = Policy.State.create () in
   let rng = Prng.create ~seed in
-  Policy.State.custom st (fun () ->
-      let rng' = Prng.copy rng in
-      fun () -> Prng.copy_into ~src:rng' ~dst:rng);
   (* demoted.(set) is a way forced to be the next victim, or -1. *)
-  let demoted = Policy.State.array st sets (-1) in
+  let demoted = Array.make sets (-1) in
   let victim ~set =
     if demoted.(set) >= 0 then begin
       let way = demoted.(set) in
@@ -27,7 +23,6 @@ let make ~seed ~sets ~ways =
     on_eviction = Policy.nop_evict;
     on_invalidate = (fun ~set ~way -> if demoted.(set) = way then demoted.(set) <- -1);
     demote = (fun ~set ~way -> demoted.(set) <- way);
-    save = Policy.State.save st;
     storage_bits = 0;
     duel = None;
   }

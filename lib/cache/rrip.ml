@@ -1,5 +1,3 @@
-module State = Policy.State
-
 let rrpv_bits = 2
 let distant = (1 lsl rrpv_bits) - 1 (* 3: the preferred victims *)
 let long = distant - 1 (* 2: SRRIP's insertion position *)
@@ -39,11 +37,11 @@ module Predictor = struct
 
   type t = { counters : int array; fill_sig : int array; reused : bool array; sig_bits : int }
 
-  let make st ~slots ~entries ~sig_bits =
+  let make ~slots ~entries ~sig_bits =
     {
-      counters = State.array st entries 1;
-      fill_sig = State.array st slots 0;
-      reused = State.array st slots false;
+      counters = Array.make entries 1;
+      fill_sig = Array.make slots 0;
+      reused = Array.make slots false;
       sig_bits;
     }
 
@@ -76,8 +74,8 @@ end
    distant. *)
 let bimodal_throttle = 32
 
-let bimodal st =
-  let count = State.ref st 0 in
+let bimodal () =
+  let count = ref 0 in
   fun () ->
     incr count;
     if !count mod bimodal_throttle = 0 then long else distant
@@ -86,9 +84,8 @@ let bimodal st =
    the RRPV of a fill, after the predictor (if any) has recorded the
    fill's signature.  The duel trains on every miss in [fill_decision],
    so bypassed misses still vote. *)
-let kernel ~name ~sets ~ways st ?duel ?predictor ?bypass insert =
-  let rrpv = State.array st (sets * ways) distant in
-  Option.iter (fun d -> State.custom st (fun () -> Dueling.save d)) duel;
+let kernel ~name ~sets ~ways ?duel ?predictor ?bypass insert =
+  let rrpv = Array.make (sets * ways) distant in
   let fill_decision =
     match (duel, bypass) with
     | None, None -> Policy.nop_fill_decision
@@ -123,7 +120,6 @@ let kernel ~name ~sets ~ways st ?duel ?predictor ?bypass insert =
     on_eviction;
     on_invalidate = to_distant;
     demote = to_distant;
-    save = State.save st;
     storage_bits =
       (sets * ways * rrpv_bits)
       + Option.fold ~none:0 ~some:Predictor.storage_bits predictor
@@ -131,32 +127,29 @@ let kernel ~name ~sets ~ways st ?duel ?predictor ?bypass insert =
     duel;
   }
 
-let srrip ~sets ~ways = kernel ~name:"srrip" ~sets ~ways (State.create ()) (fun ~set:_ ~slot:_ _ -> long)
+let srrip ~sets ~ways = kernel ~name:"srrip" ~sets ~ways (fun ~set:_ ~slot:_ _ -> long)
 
 let drrip ~sets ~ways =
-  let st = State.create () in
-  let bimodal = bimodal st in
+  let bimodal = bimodal () in
   (* Flavour A duels SRRIP insertion, flavour B bimodal insertion. *)
   let duel = Dueling.make ~sets in
-  kernel ~name:"drrip" ~sets ~ways st ~duel (fun ~set ~slot:_ _ ->
+  kernel ~name:"drrip" ~sets ~ways ~duel (fun ~set ~slot:_ _ ->
       if Dueling.selects_b duel ~set then bimodal () else long)
 
 let ship ~sets ~ways =
-  let st = State.create () in
-  let shct = Predictor.make st ~slots:(sets * ways) ~entries:4096 ~sig_bits:14 in
+  let shct = Predictor.make ~slots:(sets * ways) ~entries:4096 ~sig_bits:14 in
   (* Never-reused signatures insert eviction-first. *)
-  kernel ~name:"ship" ~sets ~ways st ~predictor:shct (fun ~set:_ ~slot _ ->
+  kernel ~name:"ship" ~sets ~ways ~predictor:shct (fun ~set:_ ~slot _ ->
       if Predictor.resident shct ~slot = 0 then distant else long)
 
 let trrip ~sets ~ways =
-  let st = State.create () in
   (* A 4096-entry temperature table; counters at 2 or above (of 0..3)
      mark hot code. *)
-  let temp = Predictor.make st ~slots:(sets * ways) ~entries:4096 ~sig_bits:14 in
+  let temp = Predictor.make ~slots:(sets * ways) ~entries:4096 ~sig_bits:14 in
   (* Flavour A: plain SRRIP insertion.  Flavour B: temperature-guided
      insertion. *)
   let duel = Dueling.make ~sets in
-  kernel ~name:"trrip" ~sets ~ways st ~duel ~predictor:temp (fun ~set ~slot _ ->
+  kernel ~name:"trrip" ~sets ~ways ~duel ~predictor:temp (fun ~set ~slot _ ->
       if Dueling.selects_b duel ~set then begin
         let t = Predictor.resident temp ~slot in
         if t >= 2 then 1 (* hot code: near-MRU *)
@@ -166,19 +159,18 @@ let trrip ~sets ~ways =
       else long)
 
 let ship_sb ~sets ~ways =
-  let st = State.create () in
-  let bimodal = bimodal st in
-  let outcome = Predictor.make st ~slots:(sets * ways) ~entries:64 ~sig_bits:6 in
+  let bimodal = bimodal () in
+  let outcome = Predictor.make ~slots:(sets * ways) ~entries:64 ~sig_bits:6 in
   (* Flavour A: SRRIP insertion.  Flavour B: bimodal insertion. *)
   let duel = Dueling.make ~sets in
   (* Per-set streaming detector: a stable non-zero stride between
      consecutive misses opens a window of [stream_window] misses during
      which dead-signature fills bypass the cache. *)
   let stream_window = 8 in
-  let last_line = State.array st sets min_int in
-  let stride = State.array st sets 0 in
-  let confidence = State.array st sets 0 in
-  let window = State.array st sets 0 in
+  let last_line = Array.make sets min_int in
+  let stride = Array.make sets 0 in
+  let confidence = Array.make sets 0 in
+  let window = Array.make sets 0 in
   let stride_confident = 3 in
   let streaming ~set line =
     let d = if last_line.(set) = min_int then 0 else line - last_line.(set) in
@@ -197,7 +189,7 @@ let ship_sb ~sets ~ways =
     streaming ~set (Access.packed_line acc) && Predictor.lookup outcome (Access.packed_pc acc) = 0
   in
   let p =
-    kernel ~name:"ship-sb" ~sets ~ways st ~duel ~predictor:outcome ~bypass (fun ~set ~slot _ ->
+    kernel ~name:"ship-sb" ~sets ~ways ~duel ~predictor:outcome ~bypass (fun ~set ~slot _ ->
         let base = if Dueling.selects_b duel ~set then bimodal () else long in
         (* The outcome counter overrides the duel at its extremes: dead
            signatures insert eviction-first, proven-reused ones near-MRU. *)

@@ -31,16 +31,6 @@ type t = {
 val create : unit -> t
 val reset : t -> unit
 
-val copy : t -> t
-(** Independent snapshot. *)
-
-val copy_into : src:t -> dst:t -> unit
-(** Overwrites [dst]'s counters with [src]'s (checkpoint restore). *)
-
-val accumulate_delta : into:t -> before:t -> after:t -> unit
-(** [into += after - before], field-wise — splices one sampled window's
-    counter growth into a running total. *)
-
 val total_accesses : t -> int
 
 val mpki : t -> instructions:int -> float

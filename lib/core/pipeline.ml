@@ -92,7 +92,6 @@ module Options = struct
     prefetch : prefetch;
     eval : Eval.t option;
     backing : Access_stream.backing;
-    sampling : Simulator.Sampling.t option;
   }
 
   let default =
@@ -112,7 +111,6 @@ module Options = struct
       prefetch = Fdip;
       eval = None;
       backing = Access_stream.Heap;
-      sampling = None;
     }
 end
 
@@ -214,9 +212,6 @@ module Metrics = struct
     eval_coverage : Obs.Metric.gauge;
     eval_accuracy : Obs.Metric.gauge;
     eval_hint_execs : Obs.Metric.counter;
-    sample_windows : Obs.Metric.counter;
-    sample_measured_blocks : Obs.Metric.counter;
-    sample_coverage : Obs.Metric.gauge;
     stream_backing : Obs.Metric.gauge;
     stream_spill_bytes : Obs.Metric.counter;
   }
@@ -277,10 +272,6 @@ module Metrics = struct
       eval_coverage = g "ripple_eval_coverage" "replacement coverage of the evaluated run";
       eval_accuracy = g "ripple_eval_accuracy" "replacement accuracy of the evaluated run";
       eval_hint_execs = c "ripple_eval_hint_execs" "dynamic hint executions while evaluated";
-      sample_windows = c "ripple_sample_windows" "measurement windows of a sampled run";
-      sample_measured_blocks =
-        c "ripple_sample_measured_blocks" "trace blocks inside measured windows";
-      sample_coverage = g "ripple_sample_coverage" "measured fraction of the steady state";
       stream_backing = g "ripple_stream_backing" "access-stream backing: 0 heap, 1 mmap";
       stream_spill_bytes = c "ripple_stream_spill_bytes" "bytes written to stream spill files";
     }
@@ -345,23 +336,19 @@ type evaluation = {
   hint_execs : int;
   static_overhead : float;
   dynamic_overhead : float;
-  sample : Simulator.Sampling.report option;
+  sample : unit option;
 }
 
 let evaluation_to_json (ev : evaluation) =
   Json.Obj
-    ([
-       ("result", Simulator.result_to_json ev.result);
-       ("coverage", Json.Float ev.coverage);
-       ("accuracy", Json.Float ev.accuracy);
-       ("hint_execs", Json.Int ev.hint_execs);
-       ("static_overhead", Json.Float ev.static_overhead);
-       ("dynamic_overhead", Json.Float ev.dynamic_overhead);
-     ]
-    @
-    match ev.sample with
-    | None -> []
-    | Some r -> [ ("sample", Simulator.Sampling.report_to_json r) ])
+    [
+      ("result", Simulator.result_to_json ev.result);
+      ("coverage", Json.Float ev.coverage);
+      ("accuracy", Json.Float ev.accuracy);
+      ("hint_execs", Json.Int ev.hint_execs);
+      ("static_overhead", Json.Float ev.static_overhead);
+      ("dynamic_overhead", Json.Float ev.dynamic_overhead);
+    ]
 
 let overhead ~extra ~base = if base = 0 then 0.0 else Float.of_int extra /. Float.of_int base
 
@@ -369,8 +356,8 @@ let overhead ~extra ~base = if base = 0 then 0.0 else Float.of_int extra /. Floa
    stage, over one recording of the evaluation trace.  The timing
    simulation's counters go to [obs] and the Ripple accuracy/coverage
    gauges to the run's cells [m]. *)
-let eval_core ~obs ~(m : Metrics.t) ~backing ?sampling ~(config : Config.t) ~warmup ~original
-    ~instrumented ~(trace : Simulator.Trace.t) ~recording ~policy ~prefetch () =
+let eval_core ~obs ~(m : Metrics.t) ~backing ~(config : Config.t) ~warmup ~original
+    ~instrumented ~(trace : Simulator.Trace.t) ~recording ~policy ~mode () =
   (* Ideal eviction windows on the evaluation stream, in trace
      coordinates: the accuracy yardstick.  With a spill backing, the
      Belady working tables live in mmap files — the heap cost of this
@@ -381,7 +368,7 @@ let eval_core ~obs ~(m : Metrics.t) ~backing ?sampling ~(config : Config.t) ~war
     let replay =
       Fun.protect
         ~finally:(fun () -> Belady.close_tables tables)
-        (fun () -> Belady.simulate ~tables config.Config.l1i ~mode:(belady_mode_of prefetch) stream)
+        (fun () -> Belady.simulate ~tables config.Config.l1i ~mode stream)
     in
     Eviction_window.to_trace_coords_with
       (Eviction_window.of_evictions replay.Belady.evictions)
@@ -400,19 +387,8 @@ let eval_core ~obs ~(m : Metrics.t) ~backing ?sampling ~(config : Config.t) ~war
       if (not resident) || Eviction_window.Index.mem index ~line ~at then incr accurate
     end
   in
-  (* A sampled run restores the front end's state before each window,
-     which a recording cannot, so it runs the front end itself. *)
-  let result, sample =
-    match sampling with
-    | None ->
-      ( Simulator.replay ~config ~warmup ~obs ~on_hint ~program:instrumented ~trace ~policy
-          recording,
-        None )
-    | Some _ ->
-      Simulator.run_trace ~config ~warmup ~obs ~on_hint ?sampling ~program:instrumented ~trace
-        ~policy
-        ~prefetcher:(prefetcher_of ~config prefetch)
-        ()
+  let result =
+    Simulator.replay ~config ~warmup ~obs ~on_hint ~program:instrumented ~trace ~policy recording
   in
   let accuracy =
     if !hint_execs = 0 then 1.0 else Float.of_int !accurate /. Float.of_int !hint_execs
@@ -430,18 +406,12 @@ let eval_core ~obs ~(m : Metrics.t) ~backing ?sampling ~(config : Config.t) ~war
       dynamic_overhead =
         overhead ~extra:result.Simulator.hint_instructions
           ~base:(result.Simulator.instructions - result.Simulator.hint_instructions);
-      sample;
+      sample = None;
     }
   in
   Obs.Metric.set m.Metrics.eval_coverage ev.coverage;
   Obs.Metric.set m.Metrics.eval_accuracy ev.accuracy;
   Obs.Metric.add m.Metrics.eval_hint_execs ev.hint_execs;
-  (match sample with
-  | None -> ()
-  | Some (r : Simulator.Sampling.report) ->
-    Obs.Metric.add m.Metrics.sample_windows (Array.length r.Simulator.Sampling.spans);
-    Obs.Metric.add m.Metrics.sample_measured_blocks r.Simulator.Sampling.measured_blocks;
-    Obs.Metric.set m.Metrics.sample_coverage r.Simulator.Sampling.coverage);
   ev
 
 type outcome = {
@@ -640,9 +610,9 @@ let run ?obs (o : Options.t) ~source input =
       Some
         (stage obs "simulate" (fun () ->
              let eval recording =
-               eval_core ~obs ~m ~backing:o.Options.backing ?sampling:o.Options.sampling
-                 ~config ~warmup:e.Eval.warmup ~original:source ~instrumented
-                 ~trace:e.Eval.trace ~recording ~policy:e.Eval.policy ~prefetch ()
+               eval_core ~obs ~m ~backing:o.Options.backing ~config ~warmup:e.Eval.warmup
+                 ~original:source ~instrumented ~trace:e.Eval.trace ~recording
+                 ~policy:e.Eval.policy ~mode:(belady_mode_of prefetch) ()
              in
              match e.Eval.recording with
              | Some recording -> eval recording

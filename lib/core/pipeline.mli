@@ -161,11 +161,6 @@ module Options : sig
             through to unlinked mmap files so the analysis heap stays
             O(windows) even on 100 M-block profiles.  Results are
             byte-identical across backings *)
-    sampling : Simulator.Sampling.t option;
-        (** when set, the evaluation run is sampled
-            ({!Ripple_cpu.Simulator.run_trace}): checkpointed warm-up
-            plus K measured windows, with the coverage report attached
-            to {!evaluation}; default [None] (full replay) *)
   }
 
   val default : t
@@ -210,9 +205,9 @@ type evaluation = {
   hint_execs : int;  (** dynamic hint executions *)
   static_overhead : float;  (** extra static instructions, fraction *)
   dynamic_overhead : float;  (** extra dynamic instructions, fraction *)
-  sample : Simulator.Sampling.report option;
-      (** coverage report of a sampled evaluation; [Some] iff
-          {!Options.t.sampling} was set *)
+  sample : unit option;
+      (** always [None]; kept because perfbench's [wl_verify.ml] builds
+          this record *)
 }
 
 val evaluation_to_json : evaluation -> Ripple_util.Json.t

@@ -23,9 +23,3 @@ let penalty config = function
   | L2 -> Config.miss_penalty config ~hit_level:`L2
   | L3 -> Config.miss_penalty config ~hit_level:`L3
   | Memory -> Config.miss_penalty config ~hit_level:`Memory
-
-let save t =
-  let restore_l2 = Cache.save t.l2 and restore_l3 = Cache.save t.l3 in
-  fun () ->
-    restore_l2 ();
-    restore_l3 ()

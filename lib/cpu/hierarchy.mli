@@ -20,7 +20,3 @@ val fetch : t -> Addr.line -> served
 
 val penalty : Config.t -> served -> int
 (** Exposed cycles of a demand miss served at that level. *)
-
-val save : t -> unit -> unit
-(** Deep-copies both levels' state; the thunk restores it (see
-    {!Ripple_cache.Cache.save}). *)

@@ -10,7 +10,6 @@ module Prefetcher = Ripple_prefetch.Prefetcher
 module Nlp = Ripple_prefetch.Nlp
 module Fdip = Ripple_prefetch.Fdip
 module Int_stream = Ripple_util.Int_stream
-module Prng = Ripple_util.Prng
 
 type result = {
   instructions : int;
@@ -75,68 +74,6 @@ module Trace = struct
     | Stream s -> Int_stream.unsafe_get s i
 
   let close = function Blocks _ -> () | Stream s -> Int_stream.close s
-end
-
-(* SimPoint-style sampled simulation: K measurement windows chosen
-   deterministically from a seed, one per equal segment of the
-   steady-state region, each replayed from the warm-up checkpoint. *)
-module Sampling = struct
-  type t = { windows : int; window_blocks : int; seed : int }
-
-  let v ?(seed = 1) ~windows ~window_blocks () =
-    if windows <= 0 then invalid_arg "Sampling.v: windows must be positive";
-    if window_blocks <= 0 then invalid_arg "Sampling.v: window_blocks must be positive";
-    { windows; window_blocks; seed }
-
-  type report = {
-    spans : (int * int) array;
-    measured_blocks : int;
-    total_blocks : int;
-    coverage : float;
-  }
-
-  (* Stratified selection: one window per equal segment of [warmup, n),
-     offset uniformly within its segment.  When the requested windows
-     cover the whole region the answer degenerates to the full region —
-     and the sampled run is then exactly the full run. *)
-  let select ~warmup ~n t =
-    let span = n - warmup in
-    if span <= 0 then [||]
-    else if t.windows * t.window_blocks >= span then [| (warmup, n) |]
-    else begin
-      let seg = span / t.windows in
-      let w = min t.window_blocks seg in
-      let rng = Prng.create ~seed:t.seed in
-      Array.init t.windows (fun i ->
-          let base = warmup + (i * seg) in
-          let slack = seg - w in
-          let off = if slack > 0 then Prng.int rng (slack + 1) else 0 in
-          (base + off, base + off + w))
-    end
-
-  let report_of_spans ~warmup ~n spans =
-    let measured = Array.fold_left (fun acc (s, e) -> acc + e - s) 0 spans in
-    let total = max 0 (n - warmup) in
-    {
-      spans;
-      measured_blocks = measured;
-      total_blocks = total;
-      coverage = (if total = 0 then 1.0 else Float.of_int measured /. Float.of_int total);
-    }
-
-  let report_to_json r =
-    Json.Obj
-      [
-        ("windows", Json.Int (Array.length r.spans));
-        ( "spans",
-          Json.List
-            (Array.to_list
-               (Array.map (fun (s, e) -> Json.List [ Json.Int s; Json.Int e ]) r.spans))
-        );
-        ("measured_blocks", Json.Int r.measured_blocks);
-        ("total_blocks", Json.Int r.total_blocks);
-        ("coverage", Json.Float r.coverage);
-      ]
 end
 
 module Obs = Ripple_obs
@@ -246,8 +183,6 @@ let finish ~(config : Config.t) ~instructions ~hint_instructions ~miss_cycles ~l
    sequence is a function of the trace, the program and the prefetcher
    alone: every replacement policy sees the same one.  A miss-trained
    prefetcher (RDIP) learns from an LRU reference L1I kept here. *)
-type front = { fetch : int -> int -> unit; save : unit -> unit -> unit }
-
 let front_end ~(config : Config.t) ~program ~prefetcher ~(emit : Access.packed -> unit) =
   let pf : Prefetcher.t = prefetcher program in
   let lines = Program.line_table program in
@@ -291,7 +226,7 @@ let front_end ~(config : Config.t) ~program ~prefetcher ~(emit : Access.packed -
     | Some (l1, on_miss) -> if Cache.access_packed l1 acc = Cache.Miss then on_miss line
     | None -> ()
   in
-  let fetch at id =
+  fun at id ->
     let slot = at mod slots in
     complete_all in_flight.(slot);
     in_flight.(slot) <- [];
@@ -301,19 +236,6 @@ let front_end ~(config : Config.t) ~program ~prefetcher ~(emit : Access.packed -
       demand ~block:id bl.(i);
       issue_all ~at (pf.Prefetcher.on_demand ~line:bl.(i))
     done
-  in
-  let save () =
-    let restore_pf = pf.Prefetcher.save () in
-    let in_flight' = Array.copy in_flight in
-    let restore_reference =
-      match reference with Some (l1, _) -> Cache.save l1 | None -> fun () -> ()
-    in
-    fun () ->
-      restore_pf ();
-      Array.blit in_flight' 0 in_flight 0 slots;
-      restore_reference ()
-  in
-  { fetch; save }
 
 (* ----------------------------- back end ------------------------------ *)
 
@@ -417,12 +339,11 @@ let sampler ~obs ~n b =
         Obs.Metric.sample mpki_series ~at r.mpki
       end
 
-(* Trace positions [first, stop): [accesses at id] feeds block [at]'s
-   L1I accesses to the back end, then its hints retire.  Steady state:
-   the caches and predictors warm up, and the counters zero at the
-   warm-up boundary. *)
-let drive b ~(trace : Trace.t) ~first ~stop ~warmup ~sample accesses =
-  for at = first to stop - 1 do
+(* Per trace position, [accesses at id] feeds block [at]'s L1I accesses
+   to the back end, then its hints retire.  Steady state: the caches and
+   predictors warm up, and the counters zero at the warm-up boundary. *)
+let drive b ~(trace : Trace.t) ~warmup ~sample accesses =
+  for at = 0 to Trace.length trace - 1 do
     if at = warmup && warmup > 0 then reset b;
     let id = Trace.get trace at in
     accesses at id;
@@ -464,11 +385,11 @@ end
 let record ?(config = Config.default) ?backing ~program ~(trace : Trace.t) ~prefetcher () =
   let builder = Access_stream.Builder.create ?backing () in
   let offsets = Int_stream.Builder.create ?backing () in
-  let fe = front_end ~config ~program ~prefetcher ~emit:(Access_stream.Builder.add builder) in
+  let fetch = front_end ~config ~program ~prefetcher ~emit:(Access_stream.Builder.add builder) in
   match
     for at = 0 to Trace.length trace - 1 do
       Int_stream.Builder.add offsets (Access_stream.Builder.length builder);
-      fe.fetch at (Trace.get trace at)
+      fetch at (Trace.get trace at)
     done;
     Int_stream.Builder.add offsets (Access_stream.Builder.length builder)
   with
@@ -492,7 +413,7 @@ let replay ?(config = Config.default) ?(warmup = 0) ?obs ?(on_hint = no_hint) ~p
   let b = back_end ~config ~program ~policy ~on_hint in
   let stream = Access_stream.raw recording.Recording.stream in
   let offsets = recording.Recording.offsets in
-  drive b ~trace ~first:0 ~stop:n ~warmup ~sample:(sampler ~obs ~n b) (fun at _ ->
+  drive b ~trace ~warmup ~sample:(sampler ~obs ~n b) (fun at _ ->
       for i = Int_stream.unsafe_get offsets at to Int_stream.unsafe_get offsets (at + 1) - 1 do
         access b (Int_stream.unsafe_get stream i)
       done);
@@ -500,51 +421,14 @@ let replay ?(config = Config.default) ?(warmup = 0) ?obs ?(on_hint = no_hint) ~p
   observe obs b result;
   result
 
-let run_trace ?(config = Config.default) ?(warmup = 0) ?obs ?(on_hint = no_hint) ?sampling
-    ~program ~(trace : Trace.t) ~policy ~prefetcher () =
-  let n = Trace.length trace in
+let run_trace ?(config = Config.default) ?(warmup = 0) ?obs ?(on_hint = no_hint) ~program
+    ~(trace : Trace.t) ~policy ~prefetcher () =
   let b = back_end ~config ~program ~policy ~on_hint in
-  let fe = front_end ~config ~program ~prefetcher ~emit:(access b) in
-  match sampling with
-  | None ->
-    drive b ~trace ~first:0 ~stop:n ~warmup ~sample:(sampler ~obs ~n b) fe.fetch;
-    let result = result_of b in
-    observe obs b result;
-    (result, None)
-  | Some (sampling : Sampling.t) ->
-    let spans = Sampling.select ~warmup ~n sampling in
-    let step ~first ~stop = drive b ~trace ~first ~stop ~warmup:0 ~sample:ignore fe.fetch in
-    (* Warm phase, then checkpoint: cache + hierarchy + prefetcher +
-       in-flight prefetches, restored before every window. *)
-    step ~first:0 ~stop:(min warmup n);
-    reset b;
-    let restore =
-      let restore_l1 = Cache.save b.l1 in
-      let restore_hierarchy = Hierarchy.save b.hierarchy in
-      let restore_front = fe.save () in
-      fun () ->
-        restore_l1 ();
-        restore_hierarchy ();
-        restore_front ()
-    in
-    (* The checkpoint rewinds the L1I's stats, so each window's are
-       spliced in; the back end's own counters are never rewound and sum
-       the windows as they go. *)
-    let total_stats = Stats.create () in
-    Array.iter
-      (fun (w_start, w_end) ->
-        restore ();
-        let snap = Stats.copy (Cache.stats b.l1) in
-        step ~first:w_start ~stop:w_end;
-        Stats.accumulate_delta ~into:total_stats ~before:snap ~after:(Cache.stats b.l1))
-      spans;
-    let result =
-      finish ~config ~instructions:b.instructions ~hint_instructions:b.hint_instructions
-        ~miss_cycles:(Float.of_int b.miss_cycles) ~l1i:total_stats ~l2_served:b.l2_served
-        ~l3_served:b.l3_served ~mem_served:b.mem_served
-    in
-    observe obs b result;
-    (result, Some (Sampling.report_of_spans ~warmup ~n spans))
+  let fetch = front_end ~config ~program ~prefetcher ~emit:(access b) in
+  drive b ~trace ~warmup ~sample:(sampler ~obs ~n:(Trace.length trace) b) fetch;
+  let result = result_of b in
+  observe obs b result;
+  (result, None)
 
 let run ?config ?warmup ?on_hint ~program ~trace ~policy ~prefetcher () =
   fst

@@ -69,40 +69,6 @@ module Trace : sig
       no-op on [Blocks]. *)
 end
 
-(** SimPoint-style sampled simulation: [windows] measurement windows of
-    [window_blocks] trace blocks each, placed deterministically from
-    [seed] — one per equal segment of the steady-state region
-    (stratified, so coverage is spread across phases).  Each window
-    replays from the warm-up checkpoint and is measured, its counter
-    deltas spliced into the totals.  When the windows cover the
-    whole steady-state region, the sampled run degenerates to — and is
-    exactly equal to — the full run. *)
-module Sampling : sig
-  type t = {
-    windows : int;
-    window_blocks : int;
-    seed : int;
-  }
-
-  val v : ?seed:int -> windows:int -> window_blocks:int -> unit -> t
-  (** Default [seed = 1].  Raises [Invalid_argument] on non-positive
-      [windows] / [window_blocks]. *)
-
-  type report = {
-    spans : (int * int) array;  (** measured [start, end) trace windows *)
-    measured_blocks : int;
-    total_blocks : int;  (** steady-state blocks, [warmup..n) *)
-    coverage : float;  (** measured / total; 1.0 when degenerate *)
-  }
-
-  val select : warmup:int -> n:int -> t -> (int * int) array
-  (** The window placement itself — deterministic in [(t, warmup, n)];
-      exposed so reports and tests can reproduce it. *)
-
-  val report_of_spans : warmup:int -> n:int -> (int * int) array -> report
-  val report_to_json : report -> Ripple_util.Json.t
-end
-
 (** One trace's L1I access sequence, as the front end produced it: the
     packed accesses in order plus, per trace position, the offset of
     that block's first access.  Immutable once built, so cells on other
@@ -193,33 +159,24 @@ val run_trace :
   ?warmup:int ->
   ?obs:Ripple_obs.Run.t ->
   ?on_hint:(at:int -> Ripple_isa.Basic_block.hint -> resident:bool -> unit) ->
-  ?sampling:Sampling.t ->
   program:Program.t ->
   trace:Trace.t ->
   policy:Policy.factory ->
   prefetcher:(Program.t -> Prefetcher.t) ->
   unit ->
-  result * Sampling.report option
+  result * unit option
 (** {!run} generalized over the trace representation, with an
-    observability context and optional sampled execution.  The front end
-    feeds the back end block by block, so no access sequence is kept.
+    observability context.  The front end feeds the back end block by
+    block, so no access sequence is kept.  The second component is
+    always [None]; it stays only because perfbench's [wl_sweep.ml] and
+    [wl_verify.ml] destructure a pair.
 
     [obs] attaches the run to an observability context: the final result
     is folded into the [ripple_sim_*] counters ({!observe_result}), and
     ~16 periodic IPC/MPKI samples land in the [ripple_sim_ipc] /
     [ripple_sim_mpki] series, timestamped in {e virtual} time (the trace
     index) so the series — like every counter — is byte-identical across
-    pool sizes.
-
-    Without [sampling] the result is exactly [run]'s (report is [None]).
-    With [sampling], the run warms to [warmup], checkpoints the full
-    microarchitectural state (L1I + policy, L2/L3, prefetcher and branch
-    predictors, in-flight prefetches), then measures only the selected
-    windows, splicing their counter deltas; [on_hint] fires during
-    warm-up and inside measured windows, and the periodic IPC/MPKI
-    series is not emitted.  A degenerate sampling (windows covering the
-    whole steady-state region) reproduces the full run's result
-    exactly. *)
+    pool sizes.  The result is exactly [run]'s. *)
 
 val register_obs : Ripple_obs.Registry.t -> unit
 (** Pre-registers the simulator's whole metric vocabulary

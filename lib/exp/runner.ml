@@ -98,14 +98,11 @@ let trace_of app ~n_instrs (input : Spec.input) =
 let group_key (spec : Spec.t) =
   (spec.Spec.app, spec.Spec.n_instrs, spec.Spec.input, spec.Spec.prefetch)
 
-(* Whether a cell can replay its group's recording.  Sampled runs
-   restore the front end before each window, so sampled policy cells
-   run it themselves; Ripple cells still take their accuracy windows
-   from the recording. *)
-let replays ~sampling (spec : Spec.t) =
+(* Whether a cell can replay its group's recording: every kind that
+   simulates the L1I does. *)
+let replays (spec : Spec.t) =
   match spec.Spec.kind with
-  | Spec.Policy _ -> Option.is_none sampling
-  | Spec.Oracle | Spec.Ripple _ -> true
+  | Spec.Policy _ | Spec.Oracle | Spec.Ripple _ -> true
   | Spec.Ideal_cache -> false
 
 let record ~config ~backing (spec : Spec.t) =
@@ -121,7 +118,7 @@ let record ~config ~backing (spec : Spec.t) =
    the group's recording, borrowed: the cell never closes it.  Without
    it a policy cell streams the front end into the back end, and an
    oracle or Ripple cell records the trace for itself alone. *)
-let run_cell ~config ~backing ~sampling ~recording (spec : Spec.t) =
+let run_cell ~config ~backing ~recording (spec : Spec.t) =
   let workload = workload_of spec.Spec.app in
   let program = workload.W.Cfg_gen.program in
   let eval = trace_of spec.Spec.app ~n_instrs:spec.Spec.n_instrs spec.Spec.input in
@@ -145,7 +142,7 @@ let run_cell ~config ~backing ~sampling ~recording (spec : Spec.t) =
       | None ->
         simulate (fun () ->
             fst
-              (Simulator.run_trace ~config ~warmup ~obs ?sampling ~program ~trace ~policy
+              (Simulator.run_trace ~config ~warmup ~obs ~program ~trace ~policy
                  ~prefetcher:(Pipeline.prefetcher_of ~config prefetch)
                  ()))
     in
@@ -181,7 +178,6 @@ let run_cell ~config ~backing ~sampling ~recording (spec : Spec.t) =
           threshold;
           prefetch;
           backing;
-          sampling;
           eval = Some (Pipeline.Eval.v ~warmup ?recording ~trace:eval ~policy ());
         }
         ~source:program (Pipeline.Trace train)
@@ -208,7 +204,7 @@ type shared = {
   mutable users : int;  (* cells of the group that replay it, still to finish *)
 }
 
-let run ?(config = Config.default) ?(backing = Ripple_cache.Access_stream.Heap) ?sampling ?jobs
+let run ?(config = Config.default) ?(backing = Ripple_cache.Access_stream.Heap) ?jobs
     ?(quiet = false) ?(retries = 0) ?max_failures specs =
   let specs = Array.of_list specs in
   (* Built before the pool starts and only read by the workers; the
@@ -216,7 +212,7 @@ let run ?(config = Config.default) ?(backing = Ripple_cache.Access_stream.Heap) 
   let groups = Hashtbl.create 16 in
   Array.iter
     (fun spec ->
-      if replays ~sampling spec then
+      if replays spec then
         match Hashtbl.find_opt groups (group_key spec) with
         | Some g -> g.users <- g.users + 1
         | None ->
@@ -231,7 +227,7 @@ let run ?(config = Config.default) ?(backing = Ripple_cache.Access_stream.Heap) 
      exactly for the cells counted in a group's [users]. *)
   let recording_of spec =
     match Hashtbl.find_opt groups (group_key spec) with
-    | Some g when replays ~sampling spec ->
+    | Some g when replays spec ->
       Some
         ( g,
           fun () ->
@@ -278,7 +274,7 @@ let run ?(config = Config.default) ?(backing = Ripple_cache.Access_stream.Heap) 
         if k = 0 then spec
         else { spec with Spec.seed = Spec.perturb_seed spec.Spec.seed ~attempt:k }
       in
-      match run_cell ~config ~backing ~sampling ~recording:(Option.map snd shared) spec_k with
+      match run_cell ~config ~backing ~recording:(Option.map snd shared) spec_k with
       | outcome -> (Done outcome, k + 1)
       | exception e ->
         let backtrace = String.trim (Printexc.get_backtrace ()) in

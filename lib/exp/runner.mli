@@ -73,7 +73,6 @@ val result : cell -> (outcome, string) result
 val run :
   ?config:Config.t ->
   ?backing:Ripple_util.Int_stream.backing ->
-  ?sampling:Simulator.Sampling.t ->
   ?jobs:int ->
   ?quiet:bool ->
   ?retries:int ->
@@ -97,13 +96,10 @@ val run :
 
     [backing] (default [Heap]) places the recordings and the Belady
     working tables; [Spill] keeps them in mmap spill files, shrinking
-    the heap of oracle and Ripple cells to O(windows).  [sampling]
-    switches policy and Ripple evaluation runs to sampled execution
-    ({!Ripple_cpu.Simulator.Sampling}); a sampled policy cell runs the
-    front end itself.  Both knobs are representation/execution choices,
-    not experiment parameters: results are byte-identical across
-    backings and deterministic in the sampling spec.  An unknown app or
-    policy name fails its cell.
+    the heap of oracle and Ripple cells to O(windows).  It is a
+    representation choice, not an experiment parameter: results are
+    byte-identical across backings.  An unknown app or policy name fails
+    its cell.
 
     [jobs] defaults to
     {!Pool.default_jobs}; [quiet] (default false) silences the per-cell

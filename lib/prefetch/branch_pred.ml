@@ -27,15 +27,6 @@ module Gshare = struct
     t.history <- ((t.history lsl 1) lor (if taken then 1 else 0)) land ((1 lsl history_bits) - 1)
 
   let accuracy t = if t.trained = 0 then 0.0 else Float.of_int t.correct /. Float.of_int t.trained
-
-  let save t =
-    let table' = Array.copy t.table in
-    let history' = t.history and trained' = t.trained and correct' = t.correct in
-    fun () ->
-      Array.blit table' 0 t.table 0 (Array.length t.table);
-      t.history <- history';
-      t.trained <- trained';
-      t.correct <- correct'
 end
 
 module Btb = struct
@@ -60,12 +51,6 @@ module Btb = struct
     let i = index t ~pc in
     t.tags.(i) <- pc;
     t.targets.(i) <- target
-
-  let save t =
-    let tags' = Array.copy t.tags and targets' = Array.copy t.targets in
-    fun () ->
-      Array.blit tags' 0 t.tags 0 (Array.length t.tags);
-      Array.blit targets' 0 t.targets 0 (Array.length t.targets)
 end
 
 module Ras = struct
@@ -100,12 +85,4 @@ module Ras = struct
     Array.blit src.stack 0 dst.stack 0 (Array.length src.stack);
     dst.top <- src.top;
     dst.depth <- src.depth
-
-  let save t =
-    let stack' = Array.copy t.stack in
-    let top' = t.top and depth' = t.depth in
-    fun () ->
-      Array.blit stack' 0 t.stack 0 (Array.length t.stack);
-      t.top <- top';
-      t.depth <- depth'
 end

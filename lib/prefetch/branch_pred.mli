@@ -21,9 +21,6 @@ module Gshare : sig
 
   val accuracy : t -> float
   (** Running prediction accuracy (correct / trained); diagnostics. *)
-
-  val save : t -> unit -> unit
-  (** Deep-copies the predictor state; the thunk restores it. *)
 end
 
 module Btb : sig
@@ -40,9 +37,6 @@ module Btb : sig
       the runahead-loop variant; it never allocates. *)
 
   val train : t -> pc:int -> target:int -> unit
-
-  val save : t -> unit -> unit
-  (** Deep-copies the BTB contents; the thunk restores them. *)
 end
 
 module Ras : sig
@@ -62,7 +56,4 @@ module Ras : sig
   val copy_into : src:t -> dst:t -> unit
   (** Overwrites [dst] with [src]'s state (runahead resynchronisation on
       a pipeline flush). *)
-
-  val save : t -> unit -> unit
-  (** Deep-copies the stack; the thunk restores it. *)
 end

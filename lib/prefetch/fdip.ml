@@ -137,39 +137,8 @@ let create_instrumented ?(ftq_depth = default_ftq_depth) ?(issue_width = default
     refill ();
     drain issue_width
   in
-  let save () =
-    let restore_gshare = Branch_pred.Gshare.save gshare in
-    let restore_btb = Branch_pred.Btb.save btb in
-    let restore_arch_ras = Branch_pred.Ras.save arch_ras in
-    let restore_runahead_ras = Branch_pred.Ras.save runahead_ras in
-    let ftq' = Ring_queue.copy ftq in
-    let pending' = Ring_queue.copy pending in
-    let frontier' = !frontier and prev' = !prev in
-    let mispredicts' = !mispredicts and issued' = !issued in
-    let recent' = Array.copy recent in
-    let recent_head' = !recent_head in
-    fun () ->
-      restore_gshare ();
-      restore_btb ();
-      restore_arch_ras ();
-      restore_runahead_ras ();
-      Ring_queue.copy_into ~src:ftq' ~dst:ftq;
-      Ring_queue.copy_into ~src:pending' ~dst:pending;
-      frontier := frontier';
-      prev := prev';
-      mispredicts := mispredicts';
-      issued := issued';
-      Array.blit recent' 0 recent 0 recent_filter_size;
-      recent_head := recent_head'
-  in
   let prefetcher =
-    {
-      Prefetcher.name = "fdip";
-      on_block;
-      on_demand = (fun ~line:_ -> []);
-      on_miss = None;
-      save;
-    }
+    { Prefetcher.name = "fdip"; on_block; on_demand = (fun ~line:_ -> []); on_miss = None }
   in
   let internals =
     { gshare; btb; mispredicts = (fun () -> !mispredicts); issued = (fun () -> !issued) }

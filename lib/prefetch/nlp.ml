@@ -20,11 +20,4 @@ let create ?(degree = 1) () =
     end
     else []
   in
-  let save () =
-    let recent' = Array.copy recent in
-    let head' = !head in
-    fun () ->
-      Array.blit recent' 0 recent 0 filter_size;
-      head := head'
-  in
-  { Prefetcher.name = "nlp"; on_block = (fun _ -> []); on_demand; on_miss = None; save }
+  { Prefetcher.name = "nlp"; on_block = (fun _ -> []); on_demand; on_miss = None }

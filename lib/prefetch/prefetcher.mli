@@ -33,11 +33,6 @@ type t = {
           in the front end's LRU reference L1I.  [None] for prefetchers
           that do not learn from misses; the front end then keeps no
           reference cache. *)
-  save : unit -> unit -> unit;
-      (** [save ()] captures a deep copy of the prefetcher's training
-          state (history, BTB, RAS, queues); the thunk restores it.
-          Checkpointed warm-up rewinds to it before each sampled
-          window. *)
 }
 
 val none : t

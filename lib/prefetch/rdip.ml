@@ -78,31 +78,9 @@ let create ~program:_ () =
     | Basic_block.Indirect _ | Basic_block.Halt ->
       []
   in
-
-  let save () =
-    let table' =
-      Array.map
-        (fun e -> { tag = e.tag; lines = Array.copy e.lines; cursor = e.cursor })
-        table
-    in
-    let stack' = Array.copy stack in
-    let depth' = !depth and signature' = !signature in
-    fun () ->
-      Array.iteri
-        (fun i e' ->
-          let e = table.(i) in
-          e.tag <- e'.tag;
-          Array.blit e'.lines 0 e.lines 0 lines_per_signature;
-          e.cursor <- e'.cursor)
-        table';
-      Array.blit stack' 0 stack 0 (Array.length stack);
-      depth := depth';
-      signature := signature'
-  in
   {
     Prefetcher.name = "rdip";
     on_block;
     on_demand = (fun ~line:_ -> []);
     on_miss = Some record_miss;
-    save;
   }

@@ -29,14 +29,6 @@ let seed_of_string s =
     s;
   !h
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
-
-let copy_into ~src ~dst =
-  dst.s0 <- src.s0;
-  dst.s1 <- src.s1;
-  dst.s2 <- src.s2;
-  dst.s3 <- src.s3
-
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 let bits64 t =

@@ -19,13 +19,6 @@ val seed_of_string : string -> int
     differ draw independent streams and the same cell draws the same
     stream in every run. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
-
-val copy_into : src:t -> dst:t -> unit
-(** Overwrites [dst]'s state with [src]'s — the restore half of a
-    checkpoint taken with {!copy}. *)
-
 val split : t -> t
 (** [split t] derives a new generator from [t], advancing [t]; the two
     streams are statistically independent.  Used to give each workload

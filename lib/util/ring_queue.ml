@@ -62,11 +62,3 @@ let to_list t =
   let acc = ref [] in
   iter (fun x -> acc := x :: !acc) t;
   List.rev !acc
-
-let copy t = { buf = Array.copy t.buf; head = t.head; len = t.len }
-
-let copy_into ~src ~dst =
-  assert (Array.length src.buf = Array.length dst.buf);
-  Array.blit src.buf 0 dst.buf 0 (Array.length src.buf);
-  dst.head <- src.head;
-  dst.len <- src.len

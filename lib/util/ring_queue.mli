@@ -42,11 +42,3 @@ val clear : 'a t -> unit
 
 val to_list : 'a t -> 'a list
 (** Front-to-back contents. *)
-
-val copy : 'a t -> 'a t
-(** Independent snapshot (shallow: elements are shared). *)
-
-val copy_into : src:'a t -> dst:'a t -> unit
-(** Overwrites [dst]'s contents and position with [src]'s — the restore
-    half of a checkpoint taken with {!copy}.  Requires equal
-    capacities. *)

@@ -1,12 +1,12 @@
 (* Reference for Simulator.run_trace: the single loop that drove the
    prefetcher, the L1I and the L2/L3 hierarchy together before the
    simulator was split into a front end (trace -> prefetcher -> access
-   sequence) and a back end (L1I + hierarchy).  Kept as it was, except
-   that the prefetcher learns the L1I's own misses through [on_miss]
-   where it used to take a [~missed] flag; for the prefetchers that do
-   not learn from misses (none, NLP, FDIP) that is the old loop
-   exactly.  The properties in test_cpu.ml check the split simulator
-   against it. *)
+   sequence) and a back end (L1I + hierarchy).  Kept as it was, less
+   its sampled branch, except that the prefetcher learns the L1I's own
+   misses through [on_miss] where it used to take a [~missed] flag; for
+   the prefetchers that do not learn from misses (none, NLP, FDIP) that
+   is the old loop exactly.  The properties in test_cpu.ml check the
+   split simulator against it. *)
 
 module Program = Ripple_isa.Program
 module Basic_block = Ripple_isa.Basic_block
@@ -18,7 +18,6 @@ module Config = Ripple_cpu.Config
 module Hierarchy = Ripple_cpu.Hierarchy
 module Simulator = Ripple_cpu.Simulator
 module Trace = Simulator.Trace
-module Sampling = Simulator.Sampling
 module Obs = Ripple_obs
 
 let block_lines program =
@@ -63,8 +62,8 @@ let finish ~(config : Config.t) ~instructions ~hint_instructions ~miss_cycles ~l
   }
 
 let run_trace ?(config = Config.default) ?(warmup = 0) ?obs
-    ?(on_hint = fun ~at:_ _ ~resident:_ -> ()) ?sampling ~program ~(trace : Trace.t) ~policy
-    ~prefetcher () =
+    ?(on_hint = fun ~at:_ _ ~resident:_ -> ()) ~program ~(trace : Trace.t) ~policy ~prefetcher
+    () =
   let n = Trace.length trace in
   let l1 = Cache.create ~geometry:config.Config.l1i ~policy () in
   let hierarchy = Hierarchy.create config in
@@ -155,104 +154,51 @@ let run_trace ?(config = Config.default) ?(warmup = 0) ?obs
     done;
     instructions := !instructions + Basic_block.total_instrs b
   in
-  match sampling with
-  | None ->
-    (* Periodic IPC/MPKI samples in *virtual* time (the trace index), so
-       the series is a pure function of the run — identical at any pool
-       size.  At most ~16 samples per run; the per-block cost without a
-       sampler is one match. *)
-    let sampler =
-      match obs with
-      | None -> None
-      | Some obs ->
-        let reg = Obs.Run.registry obs in
-        Simulator.register_obs reg;
-        let ipc_series = Obs.Registry.series reg "ripple_sim_ipc" in
-        let mpki_series = Obs.Registry.series reg "ripple_sim_mpki" in
-        let every = max 1 (n / 16) in
-        Some
-          (fun at ->
-            if (at + 1) mod every = 0 then begin
-              let original = !instructions - !hint_instructions in
-              if original > 0 then begin
-                let cycles =
-                  (config.Config.cpi_base *. Float.of_int original)
-                  +. (config.Config.hint_cpi *. Float.of_int !hint_instructions)
-                  +. (config.Config.miss_exposure *. Float.of_int !miss_cycles)
-                in
-                Obs.Metric.sample ipc_series ~at
-                  (if cycles > 0.0 then Float.of_int original /. cycles else 0.0);
-                Obs.Metric.sample mpki_series ~at
-                  (Stats.mpki (Cache.stats l1) ~instructions:original)
-              end
-            end)
-    in
-    for at = 0 to n - 1 do
-      (* Steady state: warm the caches and predictors, then zero the
-         counters at the warm-up boundary. *)
-      if at = warmup && warmup > 0 then reset_counters ();
-      step at;
-      match sampler with Some f -> f at | None -> ()
-    done;
-    let result =
-      finish ~config ~instructions:!instructions ~hint_instructions:!hint_instructions
-        ~miss_cycles:(Float.of_int !miss_cycles) ~l1i:(Cache.stats l1)
-        ~l2_served:!l2_served ~l3_served:!l3_served ~mem_served:!mem_served
-    in
-    (match obs with
-    | Some o ->
-      Simulator.observe_result o result;
-      observe_duel o l1
-    | None -> ());
-    (result, None)
-  | Some (sampling : Sampling.t) ->
-    let spans = Sampling.select ~warmup ~n sampling in
-    (* Warm phase, then checkpoint: cache + hierarchy + prefetcher +
-       in-flight prefetches, restored before every window. *)
-    for at = 0 to min warmup n - 1 do
-      step at
-    done;
-    reset_counters ();
-    let restore =
-      let restore_l1 = Cache.save l1 in
-      let restore_hierarchy = Hierarchy.save hierarchy in
-      let restore_pf = pf.Prefetcher.save () in
-      let in_flight' = Array.copy in_flight in
-      fun () ->
-        restore_l1 ();
-        restore_hierarchy ();
-        restore_pf ();
-        Array.blit in_flight' 0 in_flight 0 slots
-    in
-    let total_stats = Stats.create () in
-    let t_instr = ref 0 and t_hint = ref 0 and t_miss = ref 0 in
-    let t_l2 = ref 0 and t_l3 = ref 0 and t_mem = ref 0 in
-    Array.iter
-      (fun (w_start, w_end) ->
-        restore ();
-        let snap = Stats.copy (Cache.stats l1) in
-        let s_instr = !instructions and s_hint = !hint_instructions in
-        let s_miss = !miss_cycles in
-        let s_l2 = !l2_served and s_l3 = !l3_served and s_mem = !mem_served in
-        for at = w_start to w_end - 1 do
-          step at
-        done;
-        t_instr := !t_instr + !instructions - s_instr;
-        t_hint := !t_hint + !hint_instructions - s_hint;
-        t_miss := !t_miss + !miss_cycles - s_miss;
-        t_l2 := !t_l2 + !l2_served - s_l2;
-        t_l3 := !t_l3 + !l3_served - s_l3;
-        t_mem := !t_mem + !mem_served - s_mem;
-        Stats.accumulate_delta ~into:total_stats ~before:snap ~after:(Cache.stats l1))
-      spans;
-    let result =
-      finish ~config ~instructions:!t_instr ~hint_instructions:!t_hint
-        ~miss_cycles:(Float.of_int !t_miss) ~l1i:total_stats ~l2_served:!t_l2
-        ~l3_served:!t_l3 ~mem_served:!t_mem
-    in
-    (match obs with
-    | Some o ->
-      Simulator.observe_result o result;
-      observe_duel o l1
-    | None -> ());
-    (result, Some (Sampling.report_of_spans ~warmup ~n spans))
+  (* Periodic IPC/MPKI samples in *virtual* time (the trace index), so
+     the series is a pure function of the run — identical at any pool
+     size.  At most ~16 samples per run; the per-block cost without a
+     sampler is one match. *)
+  let sampler =
+    match obs with
+    | None -> None
+    | Some obs ->
+      let reg = Obs.Run.registry obs in
+      Simulator.register_obs reg;
+      let ipc_series = Obs.Registry.series reg "ripple_sim_ipc" in
+      let mpki_series = Obs.Registry.series reg "ripple_sim_mpki" in
+      let every = max 1 (n / 16) in
+      Some
+        (fun at ->
+          if (at + 1) mod every = 0 then begin
+            let original = !instructions - !hint_instructions in
+            if original > 0 then begin
+              let cycles =
+                (config.Config.cpi_base *. Float.of_int original)
+                +. (config.Config.hint_cpi *. Float.of_int !hint_instructions)
+                +. (config.Config.miss_exposure *. Float.of_int !miss_cycles)
+              in
+              Obs.Metric.sample ipc_series ~at
+                (if cycles > 0.0 then Float.of_int original /. cycles else 0.0);
+              Obs.Metric.sample mpki_series ~at
+                (Stats.mpki (Cache.stats l1) ~instructions:original)
+            end
+          end)
+  in
+  for at = 0 to n - 1 do
+    (* Steady state: warm the caches and predictors, then zero the
+       counters at the warm-up boundary. *)
+    if at = warmup && warmup > 0 then reset_counters ();
+    step at;
+    match sampler with Some f -> f at | None -> ()
+  done;
+  let result =
+    finish ~config ~instructions:!instructions ~hint_instructions:!hint_instructions
+      ~miss_cycles:(Float.of_int !miss_cycles) ~l1i:(Cache.stats l1)
+      ~l2_served:!l2_served ~l3_served:!l3_served ~mem_served:!mem_served
+  in
+  (match obs with
+  | Some o ->
+    Simulator.observe_result o result;
+    observe_duel o l1
+  | None -> ());
+  result

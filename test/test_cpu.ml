@@ -178,77 +178,6 @@ let test_oracle_warmup_consistent () =
   checkb "steady-state instructions below total" true
     (steady.Simulator.instructions < full.Simulator.instructions)
 
-(* Window placement: deterministic in (spec, warmup, n), one span per
-   stratum, ordered, disjoint, inside the steady-state region, and
-   moved by the seed. *)
-let test_sampling_select_properties () =
-  let sampling = Simulator.Sampling.v ~seed:7 ~windows:5 ~window_blocks:100 () in
-  let spans = Simulator.Sampling.select sampling ~warmup:1_000 ~n:10_000 in
-  checki "five spans" 5 (Array.length spans);
-  Array.iteri
-    (fun i (lo, hi) ->
-      checkb "span non-empty" true (lo < hi);
-      checkb "span inside steady state" true (lo >= 1_000 && hi <= 10_000);
-      if i > 0 then
-        checkb "spans ordered and disjoint" true (snd spans.(i - 1) <= lo))
-    spans;
-  check (Alcotest.array (Alcotest.pair Alcotest.int Alcotest.int))
-    "placement deterministic" spans
-    (Simulator.Sampling.select sampling ~warmup:1_000 ~n:10_000);
-  checkb "seed moves the windows" true
-    (spans
-    <> Simulator.Sampling.select
-         { sampling with Simulator.Sampling.seed = 8 }
-         ~warmup:1_000 ~n:10_000);
-  let r = Simulator.Sampling.report_of_spans ~warmup:1_000 ~n:10_000 spans in
-  checki "measured blocks" 500 r.Simulator.Sampling.measured_blocks;
-  checki "total blocks" 9_000 r.Simulator.Sampling.total_blocks
-
-(* Windows covering the whole steady-state region degenerate to — and
-   must equal, field for field — the full run: same checkpoint/restore
-   machinery, zero sampling error by construction. *)
-let test_sampling_degenerate_exact () =
-  let w = W.Cfg_gen.generate W.Apps.kafka in
-  let trace = W.Executor.run w ~input:W.Executor.train ~n_instrs:120_000 in
-  let program = w.W.Cfg_gen.program in
-  let warmup = Array.length trace / 2 in
-  let policy = Cache.Lru.make and prefetcher = Simulator.prefetcher_fdip in
-  let full = Simulator.run ~warmup ~program ~trace ~policy ~prefetcher () in
-  let sampling = Simulator.Sampling.v ~windows:1 ~window_blocks:(Array.length trace) () in
-  let sampled, report =
-    Simulator.run_trace ~warmup ~sampling ~program ~trace:(Simulator.Trace.Blocks trace)
-      ~policy ~prefetcher ()
-  in
-  checkb "degenerate sampled run equals full run" true (sampled = full);
-  match report with
-  | Some r -> checkf "coverage 1.0" 1.0 r.Simulator.Sampling.coverage
-  | None -> Alcotest.fail "sampled run must return a report"
-
-(* A genuinely sampled run measures less, stays deterministic, and its
-   IPC lands near the full run's. *)
-let test_sampling_run_deterministic () =
-  let w = W.Cfg_gen.generate W.Apps.kafka in
-  let trace = W.Executor.run w ~input:W.Executor.train ~n_instrs:120_000 in
-  let program = w.W.Cfg_gen.program in
-  let warmup = Array.length trace / 2 in
-  let policy = Cache.Lru.make and prefetcher = Simulator.prefetcher_fdip in
-  let sampling = Simulator.Sampling.v ~windows:4 ~window_blocks:1_000 () in
-  let run () =
-    Simulator.run_trace ~warmup ~sampling ~program ~trace:(Simulator.Trace.Blocks trace)
-      ~policy ~prefetcher ()
-  in
-  let a, ra = run () in
-  let b, _ = run () in
-  checkb "sampled run deterministic" true (a = b);
-  (match ra with
-  | Some r ->
-    checki "measured what was asked" 4_000 r.Simulator.Sampling.measured_blocks;
-    checkb "partial coverage" true (r.Simulator.Sampling.coverage < 1.0)
-  | None -> Alcotest.fail "sampled run must return a report");
-  let full = Simulator.run ~warmup ~program ~trace ~policy ~prefetcher () in
-  checkb "sampled IPC within 15% of full" true
-    (Float.abs (a.Simulator.ipc -. full.Simulator.ipc) /. full.Simulator.ipc < 0.15)
-
 (* The trace representation is invisible: a run over an mmap-backed
    Int_stream equals the run over the int array it came from. *)
 let test_run_trace_stream_equivalence () =
@@ -295,9 +224,8 @@ let observed run =
   let obs = Obs.Run.create () in
   let hints = ref [] in
   let on_hint ~at hint ~resident = hints := (at, hint, resident) :: !hints in
-  let result, report = run ~obs ~on_hint in
+  let result = run ~obs ~on_hint in
   ( Json.to_string (Simulator.result_to_json result),
-    Option.map (fun r -> Json.to_string (Simulator.Sampling.report_to_json r)) report,
     Json.to_string (Obs.Snapshot.to_json (Obs.Run.snapshot obs)),
     List.rev !hints )
 
@@ -339,28 +267,16 @@ let prop_split_matches_reference =
       in
       let streamed =
         observed (fun ~obs ~on_hint ->
-            Simulator.run_trace ~warmup ~obs ~on_hint ~program ~trace ~policy ~prefetcher ())
+            fst (Simulator.run_trace ~warmup ~obs ~on_hint ~program ~trace ~policy ~prefetcher ()))
       in
       (* Recorded on the uninstrumented binary, as the sweep runner's
          Ripple cells share it. *)
       let recording = Simulator.record ~program:source ~trace ~prefetcher () in
       let replayed =
         observed (fun ~obs ~on_hint ->
-            (Simulator.replay ~warmup ~obs ~on_hint ~program ~trace ~policy recording, None))
+            Simulator.replay ~warmup ~obs ~on_hint ~program ~trace ~policy recording)
       in
-      let sampling = Simulator.Sampling.v ~seed ~windows:3 ~window_blocks:300 () in
-      let sampled_reference =
-        observed (fun ~obs ~on_hint ->
-            Simulator_ref.run_trace ~warmup ~obs ~on_hint ~sampling ~program ~trace ~policy
-              ~prefetcher ())
-      in
-      let sampled =
-        observed (fun ~obs ~on_hint ->
-            Simulator.run_trace ~warmup ~obs ~on_hint ~sampling ~program ~trace ~policy
-              ~prefetcher ())
-      in
-      Program.static_hints program > 0
-      && streamed = reference && replayed = reference && sampled = sampled_reference)
+      Program.static_hints program > 0 && streamed = reference && replayed = reference)
 
 (* RDIP learns from the front end's LRU reference L1I instead of the
    evaluated one: under LRU on an uninstrumented binary the two are the
@@ -380,14 +296,14 @@ let test_rdip_lru_matches_reference () =
   in
   let streamed =
     run (fun ~obs ~on_hint ->
-        Simulator.run_trace ~warmup ~obs ~on_hint ~program ~trace ~policy:Cache.Lru.make
-          ~prefetcher ())
+        fst
+          (Simulator.run_trace ~warmup ~obs ~on_hint ~program ~trace ~policy:Cache.Lru.make
+             ~prefetcher ()))
   in
   let recording = Simulator.record ~program ~trace ~prefetcher () in
   let replayed =
     run (fun ~obs ~on_hint ->
-        ( Simulator.replay ~warmup ~obs ~on_hint ~program ~trace ~policy:Cache.Lru.make recording,
-          None ))
+        Simulator.replay ~warmup ~obs ~on_hint ~program ~trace ~policy:Cache.Lru.make recording)
   in
   checkb "streamed = reference" true (streamed = reference);
   checkb "replayed = reference" true (replayed = reference)
@@ -495,9 +411,6 @@ let suites =
         Alcotest.test_case "record stream prefetches" `Quick test_record_stream_includes_prefetches;
         Alcotest.test_case "oracle vs lru" `Quick test_oracle_not_worse_than_lru;
         Alcotest.test_case "oracle warmup" `Quick test_oracle_warmup_consistent;
-        Alcotest.test_case "sampling window placement" `Quick test_sampling_select_properties;
-        Alcotest.test_case "sampling degenerate = full" `Slow test_sampling_degenerate_exact;
-        Alcotest.test_case "sampling deterministic" `Slow test_sampling_run_deterministic;
         Alcotest.test_case "stream trace = block trace" `Slow test_run_trace_stream_equivalence;
       ] );
     ( "cpu.split",

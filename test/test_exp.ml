@@ -247,12 +247,10 @@ let test_replay_oracle_identity () =
   let replayed = Simulator.oracle ~warmup ~stream ~replay ~mode ~program ~trace ~prefetcher () in
   Alcotest.(check bool) "replayed oracle equals inline" true (replayed = inline)
 
-(* Backing and sampling are representation/execution choices: the sweep
-   JSONL must not change when either does (sampling only for cells it
-   does not apply to — here Oracle/Ideal cells — while Policy/Ripple
-   cells record their sampled rows deterministically).  A spill-backed
-   run also closes every stream it made, at any pool size: none is left
-   linked, and none is left for the GC finaliser to unlink. *)
+(* The backing is a representation choice: the sweep JSONL must not
+   change with it.  A spill-backed run also closes every stream it made,
+   at any pool size: none is left linked, and none is left for the GC
+   finaliser to unlink. *)
 let closes_every_stream name run =
   let module Int_stream = Ripple_util.Int_stream in
   Gc.full_major ();
@@ -288,10 +286,10 @@ let test_backing_jsonl_identity () =
     [ 1; 2 ]
 
 (* The runner owns the shared recordings on every path.  Here one cell
-   raises and is retried, the breaker then skips the rest — including
-   cells of a group whose recording is open — and a lone sampled policy
-   cell runs without one.  Nothing may be left linked or to the
-   finaliser, and the rows must equal a heap run's. *)
+   raises and is retried, and the breaker then skips the rest —
+   including cells of a group whose recording is open.  Nothing may be
+   left linked or to the finaliser, and the rows must equal a heap
+   run's. *)
 let test_recording_lifetime () =
   let open Exp.Spec in
   let app = "finagle-http" in
@@ -324,12 +322,7 @@ let test_recording_lifetime () =
   Alcotest.(check string)
     "rows equal the heap run's"
     (Exp.Report.to_jsonl (run Ripple_util.Int_stream.Heap))
-    (Exp.Report.to_jsonl spill);
-  let sampling = Cpu.Simulator.Sampling.v ~windows:2 ~window_blocks:400 () in
-  ignore
-    (closes_every_stream "sampled" (fun () ->
-         Exp.Runner.run ~backing:Ripple_util.Int_stream.Spill ~sampling ~jobs:2 ~quiet:true
-           [ v ~n_instrs ~app (Policy "lru"); v ~n_instrs ~app Oracle ]))
+    (Exp.Report.to_jsonl spill)
 
 (* A cell alone in its group shares no recording: a policy cell streams
    the front end into the back end, an oracle or Ripple cell records the
@@ -353,39 +346,6 @@ let test_lone_cells () =
         (row [ spec; v ~n_instrs ~app (Policy "random") ])
         alone)
     [ Policy "lru"; Oracle; Ripple { policy = "lru"; threshold = 0.5 } ]
-
-(* A sampled sweep is deterministic in the sampling spec — identical
-   across reruns and job counts — and its rows carry the sample report. *)
-let test_sampled_sweep_deterministic () =
-  let open Exp.Spec in
-  let sampling = Cpu.Simulator.Sampling.v ~windows:3 ~window_blocks:500 () in
-  let specs =
-    [
-      v ~n_instrs ~app:"finagle-http" (Ripple { policy = "lru"; threshold = 0.5 });
-      v ~n_instrs ~app:"verilator" (Ripple { policy = "lru"; threshold = 0.5 });
-    ]
-  in
-  let a = Exp.Runner.run ~sampling ~jobs:1 ~quiet:true specs in
-  let b = Exp.Runner.run ~sampling ~jobs:2 ~quiet:true specs in
-  Alcotest.(check string)
-    "sampled sweep byte-identical across jobs" (Exp.Report.to_jsonl a)
-    (Exp.Report.to_jsonl b);
-  List.iter
-    (fun (c : Exp.Runner.cell) ->
-      match Exp.Runner.result c with
-      | Ok { Exp.Runner.evaluation = Some ev; _ } ->
-        (match ev.Core.Pipeline.sample with
-        | Some r ->
-          Alcotest.(check bool)
-            "partial coverage" true
-            (r.Cpu.Simulator.Sampling.coverage < 1.0)
-        | None -> Alcotest.fail "sampled cell should carry a sample report");
-        Alcotest.(check bool)
-          "sample report rendered" true
-          (Json.member "sample" (Core.Pipeline.evaluation_to_json ev) <> None)
-      | Ok _ -> Alcotest.fail "ripple cell should carry an evaluation"
-      | Error e -> Alcotest.fail e)
-    a
 
 (* Every registry entry must construct a live policy at the paper's
    Table II L1I geometry and report a sane storage budget. *)
@@ -462,7 +422,6 @@ let suites =
         Alcotest.test_case "backing leaves JSONL unchanged" `Slow test_backing_jsonl_identity;
         Alcotest.test_case "recordings closed on every path" `Slow test_recording_lifetime;
         Alcotest.test_case "a cell alone in its group" `Slow test_lone_cells;
-        Alcotest.test_case "sampled sweep deterministic" `Slow test_sampled_sweep_deterministic;
         Alcotest.test_case "registry complete at Table II geometry" `Quick
           test_registry_complete;
         Alcotest.test_case "json round-trip" `Slow test_json_roundtrip;

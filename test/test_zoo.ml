@@ -67,21 +67,6 @@ let test_dueling_saturation () =
   checki "psel floors at zero" 0 (Dueling.psel d);
   checki "storage is the 10-bit psel counter" 10 (Dueling.storage_bits d)
 
-let test_dueling_save_restore () =
-  let d = Dueling.make ~sets:64 in
-  Dueling.train_miss d ~set:0;
-  Dueling.train_miss d ~set:0;
-  let restore = Dueling.save d in
-  let psel = Dueling.psel d and a = Dueling.a_misses d and f = Dueling.flips d in
-  for _ = 1 to 50 do
-    Dueling.train_miss d ~set:8
-  done;
-  restore ();
-  checki "psel restored" psel (Dueling.psel d);
-  checki "a_misses restored" a (Dueling.a_misses d);
-  checki "b_misses restored" 0 (Dueling.b_misses d);
-  checki "flips restored" f (Dueling.flips d)
-
 (* ----------------------- DRRIP byte-identity ------------------------ *)
 
 (* The historical inline DRRIP, reproduced verbatim (modulo the fields
@@ -155,14 +140,6 @@ let reference_drrip ~sets ~ways =
     on_eviction = Policy.nop_evict;
     on_invalidate = (fun ~set ~way -> rrpv.((set * ways) + way) <- rrpv_max);
     demote = (fun ~set ~way -> rrpv.((set * ways) + way) <- rrpv_max);
-    save =
-      (fun () ->
-        let rrpv' = Array.copy rrpv in
-        let psel' = !psel and brrip_counter' = !brrip_counter in
-        fun () ->
-          Array.blit rrpv' 0 rrpv 0 (Array.length rrpv);
-          psel := psel';
-          brrip_counter := brrip_counter');
     storage_bits = (sets * ways * reference_rrpv_bits) + psel_bits;
     duel = None;
   }
@@ -229,33 +206,6 @@ let zoo_victims_in_range =
           Array.iter (fun acc -> ignore (Cache.access c acc)) trace;
           true))
 
-(* Everything a rewind must restore that is visible from outside: the
-   statistics record and the duel's telemetry. *)
-let duel_telemetry c =
-  Option.map
-    (fun d -> (Dueling.psel d, Dueling.a_misses d, Dueling.b_misses d, Dueling.flips d))
-    (Cache.duel c)
-
-let zoo_save_restore_roundtrip =
-  QCheck.Test.make ~count:5
-    ~name:"save/restore rewinds every zoo policy to identical decisions"
-    QCheck.(int_range 0 1000)
-    (fun seed ->
-      let warm = random_trace seed 3_000 in
-      let probe = random_trace (seed + 1) 3_000 in
-      for_zoo (fun ~geometry name ->
-          let c = Cache.create ~geometry ~policy:(Registry.factory name) () in
-          Array.iter (fun acc -> ignore (Cache.access c acc)) warm;
-          let restore = Cache.save c in
-          let run () =
-            let hits = Array.map (fun acc -> Cache.access c acc = Cache.Hit) probe in
-            (hits, Stats.copy (Cache.stats c), duel_telemetry c)
-          in
-          let first = run () in
-          restore ();
-          let second = run () in
-          first = second))
-
 let zoo_psel_never_overflows =
   QCheck.Test.make ~count:5 ~name:"duelling policies keep PSEL within its bit width"
     QCheck.(int_range 0 1000)
@@ -283,7 +233,6 @@ let always_bypass ~sets:_ ~ways:_ =
     on_eviction = Policy.nop_evict;
     on_invalidate = Policy.nop_way;
     demote = Policy.nop_way;
-    save = Policy.nop_save;
     storage_bits = 0;
     duel = None;
   }
@@ -328,7 +277,6 @@ let suites =
         Alcotest.test_case "leader-set roles" `Quick test_dueling_roles;
         Alcotest.test_case "training and flips" `Quick test_dueling_training_and_flips;
         Alcotest.test_case "psel saturation" `Quick test_dueling_saturation;
-        Alcotest.test_case "save/restore" `Quick test_dueling_save_restore;
       ] );
     ( "zoo.drrip-port",
       [
@@ -338,7 +286,6 @@ let suites =
     ( "zoo.properties",
       [
         qcheck zoo_victims_in_range;
-        qcheck zoo_save_restore_roundtrip;
         qcheck zoo_psel_never_overflows;
       ] );
     ( "zoo.bypass",
